@@ -4,8 +4,7 @@
 // where only portions of feedbacks can be retrieved."  The paper never
 // quantifies this, so this bench does: detection and false-positive rates
 // of multi-testing when the assessor only sees an independent `fraction`
-// sample of each server's log (the FeedbackStore::sample_history model of
-// bandwidth-limited retrieval).
+// sample of each server's log (a model of bandwidth-limited retrieval).
 //
 // Expectation: iid subsampling preserves honest binomial structure (FP
 // flat), while attack signatures survive proportionally — rigid patterns

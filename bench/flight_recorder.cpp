@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                 rng.bernoulli(p) ? repsys::Rating::kPositive
                                  : repsys::Rating::kNegative});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
 
     serve::BatchAssessorConfig config;
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(watchdog.evaluations()),
             watchdog.last_verdict().healthy ? "true" : "false",
             static_cast<unsigned long long>(publishes), staged,
-            ok ? "true" : "false");
+            ok && enforce ? "true" : "false");
         std::fclose(out);
         std::printf("wrote %s\n", out_path);
     } else {

@@ -418,7 +418,8 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(service.gate().released_records()),
             service.gate().pending(), smoke ? "false" : "true",
             ingest_budget_us, assess_budget_us,
-            enforce_latency ? "true" : "false", ok ? "true" : "false");
+            enforce_latency ? "true" : "false",
+            ok && enforce_latency ? "true" : "false");
         std::fclose(out);
         std::printf("wrote %s\n", out_path);
     } else {

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                 rng.bernoulli(p) ? repsys::Rating::kPositive
                                  : repsys::Rating::kNegative});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
 
     serve::BatchAssessorConfig config;
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(server.requests_served()),
             static_cast<unsigned long long>(server.rejected_connections()),
             static_cast<unsigned long long>(server.malformed_requests()),
-            ok ? "true" : "false");
+            ok && enforce ? "true" : "false");
         std::fclose(out);
         std::printf("wrote %s\n", out_path);
     } else {

@@ -9,8 +9,8 @@
 //   ingest  — a time-ordered feedback tape for the whole population is
 //             split across T submitting threads (disjoint server ranges,
 //             so per-server time ordering is preserved by construction);
-//             each thread submits per-shard-grouped batches.  Reported
-//             as feedbacks/s.
+//             each thread ingests whole-batch-atomic batches through
+//             FeedbackStore::ingest_batch.  Reported as feedbacks/s.
 //   assess  — serve::BatchAssessor::assess_all fans the population
 //             across a T-executor pool, each worker screening a
 //             snapshot-consistent history copy.  Reported as
@@ -80,7 +80,7 @@ std::uint64_t store_digest(const repsys::FeedbackStore& store) {
         digest *= 1099511628211ULL;
     };
     for (const auto server : store.servers()) {
-        const auto& history = store.history(server);
+        const auto history = store.history_snapshot(server);
         mix(server);
         mix(history.size());
         mix(history.good_count());
@@ -88,8 +88,8 @@ std::uint64_t store_digest(const repsys::FeedbackStore& store) {
     return digest;
 }
 
-/// Ingest the tape on `threads` submitters (disjoint server ranges, batch
-/// submits of up to 512 feedbacks).  Returns elapsed seconds.
+/// Ingest the tape on `threads` submitters (disjoint server ranges,
+/// ingest_batch calls of up to 512 feedbacks).  Returns elapsed seconds.
 double run_ingest(const Workload& workload, repsys::FeedbackStore& store,
                   std::size_t threads) {
     const std::size_t servers = workload.per_server.size();
@@ -106,12 +106,12 @@ double run_ingest(const Workload& workload, repsys::FeedbackStore& store,
                 for (const auto& feedback : workload.per_server[s]) {
                     batch.push_back(feedback);
                     if (batch.size() == 512) {
-                        store.submit(batch);
+                        store.ingest_batch(batch);
                         batch.clear();
                     }
                 }
             }
-            if (!batch.empty()) store.submit(batch);
+            if (!batch.empty()) store.ingest_batch(batch);
         });
     }
     for (auto& worker : pool) worker.join();

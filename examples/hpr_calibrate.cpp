@@ -13,10 +13,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "flags.h"
 #include "hpr.h"
 
 using namespace hpr;
@@ -28,7 +28,10 @@ int main(int argc, char** argv) {
                        .string();
 
     stats::CalibrationConfig cal_config;
-    if (argc > 2) cal_config.threads = std::strtoul(argv[2], nullptr, 10);
+    if (argc > 2 && !parse_flag_size(argv[2], 0, cal_config.threads)) {
+        std::fprintf(stderr, "usage: %s [output-path] [threads]\n", argv[0]);
+        return 2;
+    }
     stats::Calibrator calibrator{cal_config};
     const auto& config = calibrator.config();
     std::printf(

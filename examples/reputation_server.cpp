@@ -58,6 +58,7 @@
 #include <string>
 #include <thread>
 
+#include "flags.h"
 #include "hpr.h"
 
 using namespace hpr;
@@ -100,24 +101,9 @@ int usage(const char* argv0) {
     return 2;
 }
 
-/// Strict decimal parse of a whole flag value into [min_value, ULONG_MAX],
-/// rejecting empty strings, trailing garbage, signs, and — via
-/// errno/ERANGE — values strtoul would otherwise silently saturate
-/// (e.g. --threads=99999999999999999999).  Returns false on any defect.
-bool parse_flag_size(const char* text, unsigned long min_value,
-                     std::size_t& out) {
-    if (*text == '\0' || *text == '-' || *text == '+') return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0') return false;
-    if (value < min_value || value > SIZE_MAX) return false;
-    out = static_cast<std::size_t>(value);
-    return true;
-}
-
 /// Strict parse of a flag value into a double in [0, 1], with the same
-/// no-garbage and no-overflow (errno/ERANGE) discipline.
+/// no-garbage and no-overflow (errno/ERANGE) discipline as
+/// parse_flag_size (flags.h).
 bool parse_flag_unit(const char* text, double& out) {
     if (*text == '\0') return false;
     errno = 0;
@@ -504,7 +490,7 @@ int main(int argc, char** argv) {
     // "help us identify such factors" — the change-point detector makes
     // the factor explicit).
     const core::ChangePointDetector detector;
-    const auto changes = detector.detect(store.history(3).view());
+    const auto changes = detector.detect(store.history_snapshot(3).view());
     std::printf("\nchange points in server 3's stream:\n");
     for (const auto& cp : changes) {
         std::printf("  at window %zu (tx ~%zu): p %.2f -> %.2f (gain %.1f)\n",
@@ -515,8 +501,8 @@ int main(int argc, char** argv) {
     // Related-work baselines over the same store.
     std::vector<repsys::Feedback> all;
     for (const auto id : store.servers()) {
-        const auto& h = store.history(id).feedbacks();
-        all.insert(all.end(), h.begin(), h.end());
+        const auto h = store.history_snapshot(id);
+        all.insert(all.end(), h.feedbacks().begin(), h.feedbacks().end());
     }
     std::sort(all.begin(), all.end(),
               [](const repsys::Feedback& a, const repsys::Feedback& b) {

@@ -35,7 +35,7 @@ std::map<EntityId, double> CredibilityWeightedTrust::compute(
         std::map<EntityId, double> next;
         for (const EntityId server : store.servers()) {
             next[server] =
-                evaluate(store.history(server).view(), trust, config);
+                evaluate(store.history_snapshot(server).view(), trust, config);
         }
         trust = std::move(next);
     }

@@ -55,28 +55,6 @@ FeedbackStore::FeedbackStore(std::size_t shard_count) {
     store_metrics().shards.set(static_cast<std::int64_t>(shard_count));
 }
 
-FeedbackStore::FeedbackStore(const FeedbackStore& other)
-    : FeedbackStore(other.shards_.size()) {
-    std::size_t total = 0;
-    std::int64_t servers = 0;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const auto lock = lock_shard(*other.shards_[i]);
-        shards_[i]->logs = other.shards_[i]->logs;
-        servers += static_cast<std::int64_t>(shards_[i]->logs.size());
-        for (const auto& [server, log] : shards_[i]->logs) total += log.size();
-    }
-    total_.store(total, std::memory_order_relaxed);
-    server_count_.store(servers, std::memory_order_relaxed);
-}
-
-FeedbackStore& FeedbackStore::operator=(const FeedbackStore& other) {
-    if (this != &other) {
-        FeedbackStore copy{other};
-        *this = std::move(copy);
-    }
-    return *this;
-}
-
 FeedbackStore::FeedbackStore(FeedbackStore&& other) noexcept
     : shards_(std::move(other.shards_)),
       total_(other.total_.load(std::memory_order_relaxed)),
@@ -131,68 +109,6 @@ void FeedbackStore::submit(const Feedback& feedback) {
     metrics.ingested.increment();
     metrics.history_length_max.set_max(static_cast<std::int64_t>(log_size));
     metrics.shard_occupancy_max.set_max(static_cast<std::int64_t>(shard_servers));
-    publish_level_metrics();
-}
-
-void FeedbackStore::submit(const std::vector<Feedback>& feedbacks) {
-    if (feedbacks.empty()) return;
-    // One routing pass: per-shard index lists, batch order preserved.
-    std::vector<std::vector<std::size_t>> groups(shards_.size());
-    for (std::size_t i = 0; i < feedbacks.size(); ++i) {
-        groups[shard_of(feedbacks[i].server)].push_back(i);
-    }
-    StoreMetrics& metrics = store_metrics();
-    std::size_t max_log = 0;
-    std::size_t max_occupancy = 0;
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-        const auto& group = groups[s];
-        if (group.empty()) continue;
-        Shard& shard = *shards_[s];
-        const auto lock = lock_shard(shard);
-        // Validate the whole slice before touching the shard: a feedback
-        // must not precede its server's latest time, counting both the
-        // resident log and earlier feedbacks of this very batch.
-        std::map<EntityId, Timestamp> pending_last;
-        for (const std::size_t i : group) {
-            const Feedback& f = feedbacks[i];
-            auto [it, inserted] = pending_last.try_emplace(f.server);
-            if (inserted) {
-                const auto log = shard.logs.find(f.server);
-                if (log == shard.logs.end() || log->second.empty()) {
-                    it->second = f.time;  // first feedback sets the clock
-                } else {
-                    it->second = log->second.feedbacks().back().time;
-                }
-            }
-            if (f.time < it->second) {
-                throw std::invalid_argument(
-                    "FeedbackStore::submit: batch feedback at t=" +
-                    std::to_string(f.time) + " precedes server " +
-                    std::to_string(f.server) + "'s latest feedback at t=" +
-                    std::to_string(it->second) +
-                    " (shard slice rejected whole)");
-            }
-            it->second = f.time;
-        }
-        // Apply: validated above, so no append can throw mid-slice.
-        std::size_t new_servers = 0;
-        for (const std::size_t i : group) {
-            const Feedback& f = feedbacks[i];
-            auto [it, inserted] = shard.logs.try_emplace(f.server);
-            if (inserted) ++new_servers;
-            it->second.append(f);
-            if (it->second.size() > max_log) max_log = it->second.size();
-        }
-        if (shard.logs.size() > max_occupancy) max_occupancy = shard.logs.size();
-        total_.fetch_add(group.size(), std::memory_order_relaxed);
-        if (new_servers > 0) {
-            server_count_.fetch_add(static_cast<std::int64_t>(new_servers),
-                                    std::memory_order_relaxed);
-        }
-        metrics.ingested.increment(group.size());
-    }
-    metrics.history_length_max.set_max(static_cast<std::int64_t>(max_log));
-    metrics.shard_occupancy_max.set_max(static_cast<std::int64_t>(max_occupancy));
     publish_level_metrics();
 }
 
@@ -313,17 +229,6 @@ std::vector<FeedbackStore::ShardOccupancy> FeedbackStore::shard_occupancy() cons
     return occupancy;
 }
 
-const TransactionHistory& FeedbackStore::history(EntityId server) const {
-    const Shard& shard = shard_for(server);
-    const auto lock = lock_shard(shard);
-    const auto it = shard.logs.find(server);
-    if (it == shard.logs.end()) {
-        throw std::out_of_range("FeedbackStore::history: unknown server " +
-                                std::to_string(server));
-    }
-    return it->second;  // node-stable; see the concurrency contract
-}
-
 TransactionHistory FeedbackStore::history_snapshot(EntityId server) const {
     const Shard& shard = shard_for(server);
     const auto lock = lock_shard(shard);
@@ -333,62 +238,6 @@ TransactionHistory FeedbackStore::history_snapshot(EntityId server) const {
                                 std::to_string(server));
     }
     return it->second;  // copied while the lock is held
-}
-
-std::vector<Feedback> FeedbackStore::between(EntityId server, Timestamp from,
-                                             Timestamp to) const {
-    std::vector<Feedback> result;
-    if (from > to) return result;
-    const Shard& shard = shard_for(server);
-    const auto lock = lock_shard(shard);
-    const auto it = shard.logs.find(server);
-    if (it == shard.logs.end()) return result;
-    const auto& feedbacks = it->second.feedbacks();
-    // Per-server logs are time-ordered: binary-search the range bounds.
-    const auto lower = std::lower_bound(
-        feedbacks.begin(), feedbacks.end(), from,
-        [](const Feedback& f, Timestamp t) { return f.time < t; });
-    const auto upper = std::upper_bound(
-        feedbacks.begin(), feedbacks.end(), to,
-        [](Timestamp t, const Feedback& f) { return t < f.time; });
-    result.assign(lower, upper);
-    return result;
-}
-
-std::vector<Feedback> FeedbackStore::issued_by(EntityId client) const {
-    std::vector<Feedback> result;
-    for (const auto& shard : shards_) {
-        const auto lock = lock_shard(*shard);
-        for (const auto& [server, log] : shard->logs) {
-            for (const Feedback& f : log.feedbacks()) {
-                if (f.client == client) result.push_back(f);
-            }
-        }
-    }
-    std::stable_sort(result.begin(), result.end(),
-                     [](const Feedback& a, const Feedback& b) {
-                         if (a.time != b.time) return a.time < b.time;
-                         return a.server < b.server;
-                     });
-    return result;
-}
-
-std::vector<Feedback> FeedbackStore::sample_history(EntityId server, double fraction,
-                                                    std::uint64_t seed) const {
-    if (!(fraction >= 0.0 && fraction <= 1.0)) {
-        throw std::invalid_argument(
-            "FeedbackStore::sample_history: fraction must be in [0, 1]");
-    }
-    std::vector<Feedback> result;
-    const Shard& shard = shard_for(server);
-    const auto lock = lock_shard(shard);
-    const auto it = shard.logs.find(server);
-    if (it == shard.logs.end()) return result;
-    stats::Rng rng{seed ^ (static_cast<std::uint64_t>(server) * 0x9e3779b9ULL)};
-    for (const Feedback& f : it->second.feedbacks()) {
-        if (rng.bernoulli(fraction)) result.push_back(f);
-    }
-    return result;
 }
 
 std::size_t FeedbackStore::evict_before(Timestamp cutoff,
@@ -460,13 +309,25 @@ FeedbackStore FeedbackStore::load(const std::string& directory,
     }
     for (const auto& entry : std::filesystem::directory_iterator(directory)) {
         if (!entry.is_regular_file() || entry.path().extension() != ".csv") continue;
-        TransactionHistory log = load_csv(entry.path().string());
+        const std::string path = entry.path().string();
+        TransactionHistory log = load_csv(path);
         if (log.empty()) continue;
         const EntityId server = log[0].server;
-        Shard& shard = store.shard_for(server);
-        store.total_.fetch_add(log.size(), std::memory_order_relaxed);
+        for (const Feedback& f : log.feedbacks()) {
+            if (f.server != server) {
+                throw std::runtime_error("FeedbackStore::load: '" + path +
+                                         "' mixes servers " + std::to_string(server) +
+                                         " and " + std::to_string(f.server));
+            }
+        }
+        const std::size_t size = log.size();
+        if (!store.shard_for(server).logs.emplace(server, std::move(log)).second) {
+            throw std::runtime_error("FeedbackStore::load: '" + path +
+                                     "' repeats server " + std::to_string(server) +
+                                     ", already loaded from another file");
+        }
+        store.total_.fetch_add(size, std::memory_order_relaxed);
         store.server_count_.fetch_add(1, std::memory_order_relaxed);
-        shard.logs.emplace(server, std::move(log));
     }
     return store;
 }

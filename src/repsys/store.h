@@ -8,42 +8,25 @@
 /// trust assessment (e.g., through a central server as in online auction
 /// communities, or through special data organization schemes in P2P
 /// systems)".  FeedbackStore is that component: a registry that ingests
-/// feedbacks for many servers, serves per-server histories for assessment,
-/// answers time-range and client queries, and persists to / restores from
-/// a directory of CSV logs.
+/// feedbacks for many servers, hands out per-server histories for
+/// assessment, and persists to / restores from a directory of CSV logs.
 ///
 /// The store is **sharded and thread-safe**: server ids map onto N
 /// lock-striped shards through a splitmix64 mix, so concurrent submitters
-/// of different servers almost never contend, and a batch submit groups
-/// its feedbacks per shard to take each shard lock exactly once.  The
-/// concurrency contract, per method:
+/// of different servers almost never contend.  There is one write
+/// contract per granularity — `submit` for a single feedback and
+/// `ingest_batch` for a batch, which is all-or-nothing across the whole
+/// batch — and one read contract: `history_snapshot` copies a server's
+/// log under its shard lock, so the copy is a valid time-ordered log no
+/// matter what other threads are submitting or evicting.
 ///
-///  * `submit` (single and batch), `evict_before`, `contains`,
-///    `history_snapshot`, `servers`, `between`, `issued_by`,
-///    `sample_history`, `size`, `server_count`, `save` — safe to call
-///    from any number of threads concurrently;
-///  * `history()` returns a reference into the store.  The referenced
-///    history has a stable address (shard maps are node-based) but is NOT
-///    safe to read while another thread appends to or evicts *the same
-///    server* — concurrent readers must use `history_snapshot()`, which
-///    copies under the shard lock and is consistent by construction;
-///  * multi-shard readers (`servers`, `size`, `issued_by`, `save`) lock
-///    one shard at a time, so their result is per-shard consistent: a
-///    feedback submitted concurrently may or may not be included, but
-///    every included per-server history is a valid prefix of the log.
-///
-/// Batch ingest is all-or-nothing *per shard*: each shard's slice of the
-/// batch is validated (per-server time ordering, including order within
-/// the batch itself) before any of it is applied, so a mid-batch
-/// out-of-order timestamp rejects that entire shard's slice.  Shards are
-/// processed in ascending shard-index order; slices applied to earlier
-/// shards before the failing one stay applied (the exception reports the
-/// first violation).
-///
-/// It also supports the paper's practical note that "our scheme can be
-/// equally applied to systems where only portions of feedbacks can be
-/// retrieved": `sample_history` returns a deterministic subsample of a
-/// server's history for bandwidth-limited deployments.
+/// Every member function except the move operations is safe to call from
+/// any number of threads concurrently.  Multi-shard readers (`servers`,
+/// `shard_occupancy`, `save`) lock one shard at a time, so their result
+/// is per-shard consistent: a feedback submitted concurrently may or may
+/// not be included, but every included per-server history is a valid
+/// prefix of the log.  `size` and `server_count` read relaxed atomic
+/// counters.
 ///
 /// Shard occupancy and lock contention are exported through the obs
 /// registry (`hpr_store_shards`, `hpr_store_shard_occupancy_max`,
@@ -91,10 +74,7 @@ public:
     /// \param shard_count  lock stripes (>= 1; clamped up to 1).
     explicit FeedbackStore(std::size_t shard_count = kDefaultShards);
 
-    /// Deep copy (locks each source shard in turn; the copy is private to
-    /// the caller and needs no locks until shared).
-    FeedbackStore(const FeedbackStore& other);
-    FeedbackStore& operator=(const FeedbackStore& other);
+    /// Movable (load() returns by value), not copyable.
     FeedbackStore(FeedbackStore&& other) noexcept;
     FeedbackStore& operator=(FeedbackStore&& other) noexcept;
 
@@ -103,13 +83,7 @@ public:
     /// latest recorded feedback (per-server logs are time-ordered).
     void submit(const Feedback& feedback);
 
-    /// Ingest a batch: feedbacks are grouped per shard in one pass and
-    /// each shard lock is taken exactly once.  Validation is
-    /// all-or-nothing per shard (see the file comment).
-    void submit(const std::vector<Feedback>& feedbacks);
-
-    /// Ingest a batch all-or-nothing across the WHOLE batch (contrast
-    /// submit(vector), which is all-or-nothing per shard): every target
+    /// Ingest a batch all-or-nothing across the whole batch: every target
     /// shard is locked in ascending index order, every slice is
     /// validated, and only a fully admissible batch is applied — on
     /// rejection the store is byte-identical to its pre-call state.
@@ -150,7 +124,7 @@ public:
 
     /// Length of a server's history without copying it (one shard lock);
     /// std::nullopt for unknown servers.  The check-and-read is atomic,
-    /// unlike a contains()/history() pair racing eviction.
+    /// unlike a contains()/history_snapshot() pair racing eviction.
     [[nodiscard]] std::optional<std::size_t> history_length(EntityId server) const;
 
     /// Point-in-time occupancy of one shard (see shard_occupancy()).
@@ -165,34 +139,11 @@ public:
     /// hpr_store_shard_occupancy_max gauge is this table's maximum.
     [[nodiscard]] std::vector<ShardOccupancy> shard_occupancy() const;
 
-    /// Full history of a server, by reference.  Stable address, but not
-    /// safe against concurrent mutation of the same server — concurrent
-    /// readers use history_snapshot().
-    /// \throws std::out_of_range for unknown servers.
-    [[nodiscard]] const TransactionHistory& history(EntityId server) const;
-
     /// Consistent copy of a server's history, taken under the shard lock:
     /// always a valid time-ordered prefix-complete log, no matter what
     /// other threads are submitting or evicting.
     /// \throws std::out_of_range for unknown servers.
     [[nodiscard]] TransactionHistory history_snapshot(EntityId server) const;
-
-    /// Feedbacks of a server within [from, to] inclusive, time-ordered.
-    /// Empty for unknown servers.
-    [[nodiscard]] std::vector<Feedback> between(EntityId server, Timestamp from,
-                                                Timestamp to) const;
-
-    /// All feedbacks a given client ever issued (across servers),
-    /// time-ordered (ties broken by server id).
-    [[nodiscard]] std::vector<Feedback> issued_by(EntityId client) const;
-
-    /// Deterministic subsample of a server's history: every feedback kept
-    /// independently with probability `fraction` under the given seed,
-    /// order preserved.  Models partial feedback retrieval.
-    /// \throws std::invalid_argument unless fraction is in [0, 1].
-    [[nodiscard]] std::vector<Feedback> sample_history(EntityId server,
-                                                       double fraction,
-                                                       std::uint64_t seed) const;
 
     /// Drop every feedback strictly older than `cutoff` (retention).
     /// Returns the number of feedbacks removed.  Servers left empty are
@@ -208,7 +159,8 @@ public:
     void save(const std::string& directory) const;
 
     /// Load a store persisted with save().
-    /// \throws std::runtime_error on I/O or parse failure.
+    /// \throws std::runtime_error on I/O or parse failure, or when a file
+    ///         mixes servers or names a server another file already did.
     [[nodiscard]] static FeedbackStore load(const std::string& directory,
                                             std::size_t shard_count = kDefaultShards);
 

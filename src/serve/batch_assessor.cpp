@@ -61,9 +61,12 @@ std::size_t resolve_threads(std::size_t configured) {
 constexpr std::size_t kStreamNodeOverhead =
     4 * sizeof(void*) + sizeof(repsys::EntityId);
 
+/// Lock stripes of the screener bank.
+constexpr std::size_t kScreenerStripes = 16;
+
 }  // namespace
 
-/// One lock stripe of the incremental screener bank.
+/// One lock stripe of the streaming screener bank.
 struct BatchAssessor::ScreenerStripe {
     mutable std::mutex mutex;
     std::map<repsys::EntityId, core::OnlineScreener> screeners;
@@ -76,13 +79,9 @@ BatchAssessor::BatchAssessor(BatchAssessorConfig config,
       assessor_(config.assessment, std::move(trust), std::move(calibrator)),
       threads_(resolve_threads(config.threads)),
       pool_(threads_ - 1) {
-    if (config_.incremental) {
-        const std::size_t stripes =
-            config_.screener_stripes == 0 ? 1 : config_.screener_stripes;
-        stripes_.reserve(stripes);
-        for (std::size_t i = 0; i < stripes; ++i) {
-            stripes_.push_back(std::make_unique<ScreenerStripe>());
-        }
+    stripes_.reserve(kScreenerStripes);
+    for (std::size_t i = 0; i < kScreenerStripes; ++i) {
+        stripes_.push_back(std::make_unique<ScreenerStripe>());
     }
     serve_metrics().threads.set(static_cast<std::int64_t>(threads_));
 }
@@ -96,7 +95,6 @@ BatchAssessor::ScreenerStripe& BatchAssessor::stripe_for(
 }
 
 void BatchAssessor::observe(const repsys::Feedback& feedback) {
-    if (stripes_.empty()) return;
     ScreenerStripe& stripe = stripe_for(feedback.server);
     bool created = false;
     std::size_t created_bytes = 0;
@@ -106,8 +104,6 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
         if (it == stripe.screeners.end()) {
             core::OnlineScreenerConfig screener_config;
             screener_config.test = config_.assessment.test;
-            screener_config.patience = config_.patience;
-            screener_config.recovery = config_.recovery;
             screener_config.max_windows = config_.screener_horizon;
             it = stripe.screeners
                      .emplace(feedback.server,
@@ -129,7 +125,6 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
 }
 
 core::StreamState BatchAssessor::stream_state(repsys::EntityId server) const {
-    if (stripes_.empty()) return core::StreamState::kInsufficient;
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
     const auto it = stripe.screeners.find(server);
@@ -139,7 +134,6 @@ core::StreamState BatchAssessor::stream_state(repsys::EntityId server) const {
 
 std::optional<BatchAssessor::StreamInfo> BatchAssessor::stream_info(
     repsys::EntityId server) const {
-    if (stripes_.empty()) return std::nullopt;
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
     const auto it = stripe.screeners.find(server);
@@ -160,7 +154,6 @@ std::optional<BatchAssessor::StreamInfo> BatchAssessor::stream_info(
 }
 
 std::size_t BatchAssessor::drop_streams(std::span<const repsys::EntityId> servers) {
-    if (stripes_.empty()) return 0;
     std::size_t dropped = 0;
     std::size_t released_bytes = 0;
     for (const repsys::EntityId server : servers) {
@@ -182,7 +175,6 @@ std::size_t BatchAssessor::drop_streams(std::span<const repsys::EntityId> server
 }
 
 std::size_t BatchAssessor::evict_streams(const repsys::FeedbackStore& store) {
-    if (stripes_.empty()) return 0;
     std::vector<repsys::EntityId> stale;
     for (const auto& stripe : stripes_) {
         const std::lock_guard<std::mutex> lock{stripe->mutex};
@@ -217,7 +209,7 @@ std::size_t BatchAssessor::stream_memory_bytes() const {
 core::Assessment BatchAssessor::assess_one(const repsys::FeedbackStore& store,
                                            repsys::EntityId server,
                                            bool use_streams) const {
-    if (use_streams && config_.incremental) {
+    if (use_streams) {
         // The standing screener state replaces the O(n) phase-1 rescan
         // once the stream has been judged at least once; insufficient
         // streams fall through to the full scan below.

@@ -12,7 +12,7 @@
 /// whole community's transaction rate.  BatchAssessor therefore serves
 /// from two paths:
 ///
-/// **Primary — the streaming screener bank** (on by default).  One
+/// **Primary — the streaming screener bank.**  One
 /// core::OnlineScreener per observed server, lock-striped like the
 /// store, each bounded to `screener_horizon` complete windows of
 /// retained state.  Feedbacks stream in through observe() at O(1)
@@ -25,10 +25,10 @@
 /// FeedbackStore's eviction machinery, so evicting a server's cold
 /// history also releases its screener.  Streaming verdicts follow the
 /// streaming semantics (start-anchored windows, patience/recovery
-/// hysteresis), so they are intentionally NOT bit-identical to batch
-/// screening; over the retained horizon they agree with batch
-/// multi-testing of the newest horizon*m transactions
-/// (bench/streaming_steady_state enforces zero divergence).
+/// hysteresis at the core::OnlineScreenerConfig defaults), so they are
+/// intentionally NOT bit-identical to batch screening; over the retained
+/// horizon they agree with batch multi-testing of the newest horizon*m
+/// transactions (bench/streaming_steady_state enforces zero divergence).
 ///
 /// **Oracle — parallel batch re-assessment.**  assess_batch() (and
 /// assess()/assess_all() for never-observed servers) fans a set of
@@ -66,25 +66,12 @@ struct BatchAssessorConfig {
     /// are bit-identical at any thread count.
     std::size_t threads = 0;
 
-    /// Keep an OnlineScreener per observed server and let assess()
-    /// shortcut from its standing state (see the file comment).  On by
-    /// default: streaming is the primary serving mode; set to false for
-    /// pure batch (oracle-only) serving.
-    bool incremental = true;
-
-    /// Hysteresis of the incremental screeners (their test config is
-    /// taken from `assessment.test`).
-    std::size_t patience = 2;
-    std::size_t recovery = 2;
-
-    /// Retention horizon, in complete windows, of each incremental
-    /// screener (core::OnlineScreenerConfig::max_windows).  Bounded by
-    /// default so the bank's resident memory is O(tracked servers), not
+    /// Retention horizon, in complete windows, of each streaming
+    /// screener (core::OnlineScreenerConfig::max_windows; the screeners'
+    /// test config is taken from `assessment.test`).  Bounded by default
+    /// so the bank's resident memory is O(tracked servers), not
     /// O(stream age); 0 keeps unbounded per-stream state.
     std::size_t screener_horizon = 64;
-
-    /// Lock stripes of the incremental screener bank.
-    std::size_t screener_stripes = 16;
 };
 
 /// One server's assessment out of a batch.
@@ -128,13 +115,12 @@ public:
         const repsys::FeedbackStore& store,
         const std::vector<repsys::EntityId>& servers) const;
 
-    /// Incremental mode: feed one live feedback to its server's screener
-    /// (created on first sight).  O(1) amortized.  No-op when the config
-    /// did not enable incremental mode.
+    /// Feed one live feedback to its server's screener (created on first
+    /// sight).  O(1) amortized.
     void observe(const repsys::Feedback& feedback);
 
     /// Standing stream state of a server's screener; kInsufficient for
-    /// servers never observed (or when incremental mode is off).
+    /// servers never observed.
     [[nodiscard]] core::StreamState stream_state(repsys::EntityId server) const;
 
     /// Point-in-time detail of one live screener, copied under its
@@ -154,7 +140,7 @@ public:
 
     /// Full standing state of a server's screener — what the live
     /// `/servers/<id>` introspection page renders; std::nullopt for
-    /// servers never observed or when incremental mode is off.
+    /// servers never observed.
     [[nodiscard]] std::optional<StreamInfo> stream_info(
         repsys::EntityId server) const;
 
@@ -208,7 +194,7 @@ private:
     core::TwoPhaseAssessor assessor_;
     std::size_t threads_;
     mutable stats::ThreadPool pool_;
-    std::vector<std::unique_ptr<ScreenerStripe>> stripes_;  ///< empty unless incremental
+    std::vector<std::unique_ptr<ScreenerStripe>> stripes_;
 };
 
 }  // namespace hpr::serve

@@ -197,9 +197,10 @@ std::vector<double> Calibrator::compute_null(const Key& key) const {
 const std::vector<double>& Calibrator::null_for(const Key& key) {
     {
         // Hit fast path: no promise/future shared state (a heap
-        // allocation) is created and no writer is blocked.  Entries are
-        // never erased while the calibrator lives, so the returned
-        // reference stays valid after the lock is dropped.
+        // allocation) is created and no writer is blocked.  A resident
+        // entry is never replaced (load_cache only inserts absent keys)
+        // and is erased only by clear_cache, so the returned reference
+        // stays valid after the lock is dropped.
         const std::shared_lock lock{mutex_};
         if (const auto it = cache_.find(key); it != cache_.end()) {
             hit_count_.fetch_add(1, std::memory_order_relaxed);
@@ -413,7 +414,9 @@ void Calibrator::load_cache(const std::string& path) {
     const std::scoped_lock lock{mutex_};
     std::int64_t fresh = 0;
     for (auto& [key, values] : loaded) {
-        if (cache_.insert_or_assign(key, std::move(values)).second) ++fresh;
+        // Never overwrite a resident sample: readers may hold a reference
+        // to it, and it is already the one the validated header implies.
+        if (cache_.try_emplace(key, std::move(values)).second) ++fresh;
     }
     calibration_metrics().cache_entries.add(fresh);
 }

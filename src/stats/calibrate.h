@@ -121,7 +121,8 @@ public:
                                    double confidence);
 
     /// The full sorted null-distance sample for a key (useful for plotting
-    /// Fig. 8-style curves and for tests).
+    /// Fig. 8-style curves and for tests).  The reference stays valid
+    /// until clear_cache().
     [[nodiscard]] const std::vector<double>& null_distances(std::size_t windows,
                                                             std::uint32_t m,
                                                             double p_hat);
@@ -158,7 +159,9 @@ public:
     /// single_flight_joins equals the number of completed lookups.
     [[nodiscard]] CalibratorStats stats() const;
 
-    /// Drop all memoized null samples.
+    /// Drop all memoized null samples.  Invalidates every reference
+    /// null_distances() returned, so it must not race lookups
+    /// (threshold(), null_distances(), warm-up) on this calibrator.
     void clear_cache();
 
     /// Persist the memoized null samples so a later process can skip the
@@ -167,6 +170,9 @@ public:
     void save_cache(const std::string& path) const;
 
     /// Merge null samples persisted by save_cache() into this cache.
+    /// Keys already resident keep their sample (a null sample is a pure
+    /// function of its key and the calibration parameters), so loading
+    /// is safe while other threads look thresholds up.
     /// The file's calibration parameters (distance kind, replications,
     /// p-grid, seed, chunking) must match this calibrator's, otherwise the
     /// stored samples would answer a different question; every key must

@@ -93,7 +93,7 @@ TEST(IntrospectionStress, ScrapersStayConsistentDuringIngest) {
                     fb(static_cast<repsys::Timestamp>(i + 1), s, true));
             }
         }
-        store.submit(seed);
+        store.ingest_batch(seed);
     }
 
     std::atomic<bool> stop{false};

@@ -1,4 +1,4 @@
-// Multi-threaded stress tests for the incremental screener bank inside
+// Multi-threaded stress tests for the streaming screener bank inside
 // serve::BatchAssessor, meant to run under -DHPR_SANITIZE=thread and
 // address as well as plain builds.  Observers stream disjoint server
 // populations while assessment callers and eviction churn hammer the
@@ -88,8 +88,6 @@ TEST(ScreenerBankStress, DisjointObserversMatchSequentialReplay) {
     for (repsys::EntityId s = 1; s <= kServers; ++s) {
         core::OnlineScreenerConfig screener_config;
         screener_config.test = config.assessment.test;
-        screener_config.patience = config.patience;
-        screener_config.recovery = config.recovery;
         screener_config.max_windows = config.screener_horizon;
         core::OnlineScreener replay{screener_config, shared_cal()};
         for (const bool good : make_outcomes(s, kPerServer)) replay.observe(good);
@@ -122,7 +120,7 @@ TEST(ScreenerBankStress, ObserversAssessorsAndEvictionChurn) {
                                   rng.bernoulli(0.9)));
             }
         }
-        store.submit(seed);
+        store.ingest_batch(seed);
     }
 
     std::atomic<bool> stop{false};
@@ -184,8 +182,6 @@ TEST(ScreenerBankStress, ObserversAssessorsAndEvictionChurn) {
     for (repsys::EntityId s = kEvictServers + 1; s <= kServers; ++s) {
         core::OnlineScreenerConfig screener_config;
         screener_config.test = config.assessment.test;
-        screener_config.patience = config.patience;
-        screener_config.recovery = config.recovery;
         screener_config.max_windows = config.screener_horizon;
         core::OnlineScreener replay{screener_config, shared_cal()};
         for (const bool good : make_outcomes(s, kPerServer)) replay.observe(good);

@@ -51,8 +51,8 @@ TEST(StoreConcurrency, ConcurrentSubmitConservesEveryFeedback) {
 
     // Thread t owns servers with s % kThreads == t (disjoint ownership
     // keeps per-server submission time-ordered); even servers arrive one
-    // feedback at a time, odd servers in 97-feedback batches, so both
-    // submit paths run concurrently against shared shards.
+    // feedback at a time, odd servers in 97-feedback ingest_batch calls,
+    // so both write paths run concurrently against shared shards.
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
@@ -66,11 +66,11 @@ TEST(StoreConcurrency, ConcurrentSubmitConservesEveryFeedback) {
                     for (const auto& feedback : tape) {
                         batch.push_back(feedback);
                         if (batch.size() == 97) {
-                            store.submit(batch);
+                            store.ingest_batch(batch);
                             batch.clear();
                         }
                     }
-                    if (!batch.empty()) store.submit(batch);
+                    if (!batch.empty()) store.ingest_batch(batch);
                 }
             }
         });
@@ -83,7 +83,7 @@ TEST(StoreConcurrency, ConcurrentSubmitConservesEveryFeedback) {
     ASSERT_EQ(servers.size(), kServers);
     for (const auto server : servers) {
         // Bit-identical to the tape: nothing lost, duplicated or reordered.
-        ASSERT_EQ(store.history(server).feedbacks(), expected.at(server))
+        ASSERT_EQ(store.history_snapshot(server).feedbacks(), expected.at(server))
             << "server " << server;
     }
 }
@@ -167,7 +167,7 @@ TEST(StoreConcurrency, EvictionInterleavedWithIngestConserves) {
     EXPECT_EQ(store.size() + evicted_total.load(), kWriters * kPerServer);
     // Exactly the t < 100 prefix is gone from every server.
     for (const auto server : store.servers()) {
-        const auto& history = store.history(server);
+        const TransactionHistory history = store.history_snapshot(server);
         ASSERT_EQ(history.size(), kPerServer - 99);
         ASSERT_EQ(history[0].time, 100);
     }
@@ -186,7 +186,7 @@ TEST(StoreConcurrency, AssessmentRacesIngestSafely) {
         for (std::size_t i = 0; i < kWarm; ++i) {
             warm.push_back(fb(static_cast<Timestamp>(i + 1), s, i % 10 != 0));
         }
-        store.submit(warm);
+        store.ingest_batch(warm);
     }
 
     serve::BatchAssessorConfig config;

@@ -63,7 +63,7 @@ TEST(TraceStress, RingConservesRecordsUnderParallelAssessment) {
                 rng.bernoulli(p) ? repsys::Rating::kPositive
                                  : repsys::Rating::kNegative});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
 
     serve::BatchAssessorConfig config;
@@ -154,7 +154,7 @@ TEST(TraceStress, DisabledTracerStaysSilentUnderConcurrency) {
                 static_cast<repsys::EntityId>(800 + s),
                 repsys::Rating::kPositive});
         }
-        store.submit(tape);
+        store.ingest_batch(tape);
     }
     serve::BatchAssessorConfig config;
     config.assessment.mode = core::ScreeningMode::kMulti;

@@ -32,7 +32,7 @@ std::shared_ptr<stats::Calibrator> shared_cal() {
     return cal;
 }
 
-/// A daemon-shaped fixture: a populated store, an incremental assessor
+/// A daemon-shaped fixture: a populated store, an assessor
 /// that has observed every feedback, a tracer with ring records, and a
 /// registry — everything IntrospectionSources can point at.
 struct Fixture {
@@ -46,7 +46,6 @@ struct Fixture {
         : assessor{[] {
                        serve::BatchAssessorConfig config;
                        config.threads = 1;
-                       config.incremental = true;
                        return config;
                    }(),
                    std::shared_ptr<const repsys::TrustFunction>{
@@ -63,7 +62,7 @@ struct Fixture {
                                         : repsys::Rating::kNegative});
             }
         }
-        store.submit(batch);
+        store.ingest_batch(batch);
         for (const repsys::Feedback& feedback : batch) {
             assessor.observe(feedback);
         }

@@ -421,20 +421,21 @@ TEST(StoreProperty, SaveLoadEvictFuzz) {
                              .string();
         store.save(dir);
         const repsys::FeedbackStore loaded = repsys::FeedbackStore::load(dir);
-        std::filesystem::remove_all(dir);
         ASSERT_EQ(loaded.size(), store.size());
         for (const auto server : store.servers()) {
-            ASSERT_EQ(loaded.history(server).feedbacks(),
-                      store.history(server).feedbacks());
+            ASSERT_EQ(loaded.history_snapshot(server).feedbacks(),
+                      store.history_snapshot(server).feedbacks());
         }
         // Eviction preserves exactly the at-or-after-cutoff suffix.
-        repsys::FeedbackStore evicted = loaded;
+        repsys::FeedbackStore evicted = repsys::FeedbackStore::load(dir);
         const repsys::Timestamp cutoff =
             1 + static_cast<repsys::Timestamp>(rng.uniform_int(std::uint64_t{400}));
+        std::filesystem::remove_all(dir);
         const std::size_t removed = evicted.evict_before(cutoff);
         std::size_t expected_removed = 0;
         for (const auto server : loaded.servers()) {
-            for (const auto& f : loaded.history(server).feedbacks()) {
+            const repsys::TransactionHistory history = loaded.history_snapshot(server);
+            for (const auto& f : history.feedbacks()) {
                 if (f.time < cutoff) ++expected_removed;
             }
         }
@@ -469,7 +470,7 @@ TEST(TrustProperty, AccumulatorPrefixConsistencyFuzz) {
 
 // ---------------------------------------------------------------------------
 // Invariant 11: parallel batch assessment over the sharded store equals
-// the seed sequential path — one TwoPhaseAssessor walking history(id)
+// the seed sequential path — one TwoPhaseAssessor walking history_snapshot(id)
 // server by server — for random tapes, shard counts and thread counts.
 
 TEST(ServingProperty, BatchAssessorEqualsSequentialLoopFuzz) {
@@ -493,7 +494,7 @@ TEST(ServingProperty, BatchAssessorEqualsSequentialLoopFuzz) {
                                      : repsys::Rating::kNegative});
             }
         }
-        store.submit(batch);
+        store.ingest_batch(batch);
 
         core::TwoPhaseConfig config;
         config.mode = core::ScreeningMode::kMulti;
@@ -511,7 +512,7 @@ TEST(ServingProperty, BatchAssessorEqualsSequentialLoopFuzz) {
         for (std::size_t i = 0; i < servers.size(); ++i) {
             ASSERT_EQ(results[i].server, servers[i]);
             const auto& got = results[i].assessment;
-            const auto want = sequential.assess(store.history(servers[i]));
+            const auto want = sequential.assess(store.history_snapshot(servers[i]));
             ASSERT_EQ(got.verdict, want.verdict)
                 << "trial " << trial << " server " << servers[i]
                 << " shards=" << shard_count << " threads=" << threads;

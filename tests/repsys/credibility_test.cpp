@@ -56,8 +56,8 @@ TEST(Credibility, FixedPointMatchesAverageWhenIssuersAreNotServers) {
     // When no issuer is itself a rated server, every issuer keeps the
     // default credibility, so the weighted trust equals the plain average.
     FeedbackStore store;
-    store.submit({fb(1, 1, 100, true), fb(2, 1, 101, false), fb(3, 1, 102, true),
-                  fb(4, 1, 103, true)});
+    store.ingest_batch({fb(1, 1, 100, true), fb(2, 1, 101, false),
+                        fb(3, 1, 102, true), fb(4, 1, 103, true)});
     const auto trust = CredibilityWeightedTrust::compute(store);
     ASSERT_EQ(trust.size(), 1u);
     EXPECT_NEAR(trust.at(1), 0.75, 1e-12);

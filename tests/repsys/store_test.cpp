@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 namespace hpr::repsys {
 namespace {
@@ -17,8 +18,9 @@ Feedback fb(Timestamp t, EntityId server, EntityId client, bool good) {
 
 FeedbackStore sample_store() {
     FeedbackStore store;
-    store.submit({fb(1, 10, 100, true), fb(2, 10, 101, false), fb(3, 10, 100, true),
-                  fb(1, 20, 100, true), fb(5, 20, 102, true)});
+    store.ingest_batch({fb(1, 10, 100, true), fb(2, 10, 101, false),
+                        fb(3, 10, 100, true), fb(1, 20, 100, true),
+                        fb(5, 20, 102, true)});
     return store;
 }
 
@@ -35,14 +37,14 @@ TEST(FeedbackStore, RoutesByServer) {
     EXPECT_EQ(store.size(), 5u);
     EXPECT_EQ(store.server_count(), 2u);
     EXPECT_EQ(store.servers(), (std::vector<EntityId>{10, 20}));
-    EXPECT_EQ(store.history(10).size(), 3u);
-    EXPECT_EQ(store.history(20).size(), 2u);
-    EXPECT_EQ(store.history(10).good_count(), 2u);
+    EXPECT_EQ(store.history_snapshot(10).size(), 3u);
+    EXPECT_EQ(store.history_snapshot(20).size(), 2u);
+    EXPECT_EQ(store.history_snapshot(10).good_count(), 2u);
 }
 
 TEST(FeedbackStore, UnknownServerThrows) {
     const FeedbackStore store = sample_store();
-    EXPECT_THROW((void)store.history(99), std::out_of_range);
+    EXPECT_THROW((void)store.history_snapshot(99), std::out_of_range);
 }
 
 TEST(FeedbackStore, RejectsPerServerTimeRegression) {
@@ -54,57 +56,14 @@ TEST(FeedbackStore, RejectsPerServerTimeRegression) {
     EXPECT_EQ(store.size(), 2u);
 }
 
-TEST(FeedbackStore, BetweenIsInclusiveAndOrdered) {
-    const FeedbackStore store = sample_store();
-    const auto range = store.between(10, 2, 3);
-    ASSERT_EQ(range.size(), 2u);
-    EXPECT_EQ(range[0].time, 2);
-    EXPECT_EQ(range[1].time, 3);
-    EXPECT_TRUE(store.between(10, 100, 200).empty());
-    EXPECT_TRUE(store.between(99, 0, 10).empty());
-    // Inverted bounds are an empty range, not undefined behavior.
-    EXPECT_TRUE(store.between(10, 3, 1).empty());
-}
-
-TEST(FeedbackStore, IssuedByCollectsAcrossServers) {
-    const FeedbackStore store = sample_store();
-    const auto by_100 = store.issued_by(100);
-    ASSERT_EQ(by_100.size(), 3u);
-    // Time-ordered; the tie at t=1 broken by server id.
-    EXPECT_EQ(by_100[0].time, 1);
-    EXPECT_EQ(by_100[0].server, 10u);
-    EXPECT_EQ(by_100[1].server, 20u);
-    EXPECT_EQ(by_100[2].time, 3);
-    EXPECT_TRUE(store.issued_by(999).empty());
-}
-
-TEST(FeedbackStore, SampleHistoryIsDeterministicSubset) {
-    FeedbackStore store;
-    for (int i = 1; i <= 400; ++i) {
-        store.submit(fb(i, 1, static_cast<EntityId>(100 + i % 10), i % 7 != 0));
-    }
-    const auto a = store.sample_history(1, 0.5, 99);
-    const auto b = store.sample_history(1, 0.5, 99);
-    EXPECT_EQ(a, b);
-    EXPECT_GT(a.size(), 120u);
-    EXPECT_LT(a.size(), 280u);
-    // Order preserved.
-    for (std::size_t i = 1; i < a.size(); ++i) ASSERT_LE(a[i - 1].time, a[i].time);
-    // Degenerate fractions.
-    EXPECT_TRUE(store.sample_history(1, 0.0, 99).empty());
-    EXPECT_EQ(store.sample_history(1, 1.0, 99).size(), 400u);
-    EXPECT_THROW((void)store.sample_history(1, 1.5, 99), std::invalid_argument);
-    EXPECT_TRUE(store.sample_history(123, 0.5, 99).empty());
-}
-
 TEST(FeedbackStore, EvictBeforeDropsOldFeedback) {
     FeedbackStore store = sample_store();
     const std::size_t removed = store.evict_before(3);
     EXPECT_EQ(removed, 3u);  // t=1,2 of server 10 and t=1 of server 20
     EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.history(10).size(), 1u);
-    EXPECT_EQ(store.history(10)[0].time, 3);
-    EXPECT_EQ(store.history(20).size(), 1u);
+    EXPECT_EQ(store.history_snapshot(10).size(), 1u);
+    EXPECT_EQ(store.history_snapshot(10)[0].time, 3);
+    EXPECT_EQ(store.history_snapshot(20).size(), 1u);
 }
 
 TEST(FeedbackStore, EvictCanForgetServersEntirely) {
@@ -178,44 +137,28 @@ TEST(FeedbackStoreSharding, ZeroShardCountClampsToOne) {
 TEST(FeedbackStoreSharding, BatchRejectionIsAllOrNothingPerShard) {
     FeedbackStore store{4};
     // Two distinct servers on the same shard: the intra-batch time
-    // regression of `bad` must also roll back `good`'s slice.
+    // regression of `bad` must also roll back `good`'s records.
     const EntityId bad = server_in_shard(store, 2);
     const EntityId good = server_in_shard(store, 2, bad);
     ASSERT_NE(bad, 0u);
     ASSERT_NE(good, 0u);
     EXPECT_THROW(
-        store.submit({fb(1, good, 100, true), fb(5, bad, 100, true),
-                      fb(3, bad, 101, true)}),
-        std::invalid_argument);
+        store.ingest_batch({fb(1, good, 100, true), fb(5, bad, 100, true),
+                            fb(3, bad, 101, true)}),
+        BatchRejected);
     EXPECT_EQ(store.size(), 0u);
     EXPECT_FALSE(store.contains(good));
     EXPECT_FALSE(store.contains(bad));
 }
 
-TEST(FeedbackStoreSharding, EarlierShardsStayAppliedOnLaterRejection) {
-    FeedbackStore store{4};
-    const EntityId bad = server_in_shard(store, 3);
-    const EntityId early = server_in_shard(store, 0);
-    ASSERT_NE(bad, 0u);
-    ASSERT_NE(early, 0u);
-    // Shard 0 is processed (and applied) before shard 3 rejects.
-    EXPECT_THROW(
-        store.submit({fb(1, early, 100, true), fb(5, bad, 100, true),
-                      fb(3, bad, 101, true)}),
-        std::invalid_argument);
-    EXPECT_TRUE(store.contains(early));
-    EXPECT_FALSE(store.contains(bad));
-    EXPECT_EQ(store.size(), 1u);
-}
-
 TEST(FeedbackStoreSharding, BatchRejectsRegressionAgainstResidentLog) {
     FeedbackStore store{4};
     store.submit(fb(10, 1, 100, true));
-    EXPECT_THROW(store.submit({fb(9, 1, 100, true)}), std::invalid_argument);
-    EXPECT_EQ(store.history(1).size(), 1u);
+    EXPECT_THROW(store.ingest_batch({fb(9, 1, 100, true)}), BatchRejected);
+    EXPECT_EQ(store.history_snapshot(1).size(), 1u);
     // At-or-after the resident tail is fine (equal timestamps allowed).
-    store.submit({fb(10, 1, 101, true), fb(11, 1, 102, false)});
-    EXPECT_EQ(store.history(1).size(), 3u);
+    store.ingest_batch({fb(10, 1, 101, true), fb(11, 1, 102, false)});
+    EXPECT_EQ(store.history_snapshot(1).size(), 3u);
 }
 
 TEST(FeedbackStoreSharding, ShardCountDoesNotChangeContents) {
@@ -230,46 +173,44 @@ TEST(FeedbackStoreSharding, ShardCountDoesNotChangeContents) {
     FeedbackStore sequential{1};
     for (const auto& f : tape) sequential.submit(f);
     FeedbackStore sharded{7};
-    sharded.submit(tape);
+    sharded.ingest_batch(tape);
     ASSERT_EQ(sharded.servers(), sequential.servers());
     ASSERT_EQ(sharded.size(), sequential.size());
     for (const auto server : sequential.servers()) {
-        ASSERT_EQ(sharded.history(server).feedbacks(),
-                  sequential.history(server).feedbacks());
+        ASSERT_EQ(sharded.history_snapshot(server).feedbacks(),
+                  sequential.history_snapshot(server).feedbacks());
     }
 }
 
 TEST(FeedbackStoreSharding, SnapshotIsIndependentOfLaterWrites) {
     FeedbackStore store{4};
-    store.submit({fb(1, 1, 100, true), fb(2, 1, 101, false)});
+    store.ingest_batch({fb(1, 1, 100, true), fb(2, 1, 101, false)});
     const TransactionHistory snapshot = store.history_snapshot(1);
     store.submit(fb(3, 1, 102, true));
     EXPECT_EQ(snapshot.size(), 2u);
-    EXPECT_EQ(store.history(1).size(), 3u);
+    const TransactionHistory later = store.history_snapshot(1);
+    EXPECT_EQ(later.size(), 3u);
     // The snapshot was the then-current prefix.
     for (std::size_t i = 0; i < snapshot.size(); ++i) {
-        EXPECT_EQ(snapshot[i], store.history(1)[i]);
+        EXPECT_EQ(snapshot[i], later[i]);
     }
     EXPECT_THROW((void)store.history_snapshot(99), std::out_of_range);
 }
 
-TEST(FeedbackStoreSharding, CopyIsDeepAndMovePreservesContents) {
-    FeedbackStore original = sample_store();
-    FeedbackStore copy = original;
-    copy.submit(fb(9, 10, 100, true));
-    EXPECT_EQ(copy.history(10).size(), 4u);
-    EXPECT_EQ(original.history(10).size(), 3u);  // untouched
+static_assert(!std::is_copy_constructible_v<FeedbackStore>);
+static_assert(std::is_nothrow_move_constructible_v<FeedbackStore>);
 
+TEST(FeedbackStoreSharding, MovePreservesContents) {
+    FeedbackStore original = sample_store();
     FeedbackStore moved = std::move(original);
     EXPECT_EQ(moved.size(), 5u);
     EXPECT_EQ(moved.servers(), (std::vector<EntityId>{10, 20}));
 
     FeedbackStore assigned{2};
-    assigned = copy;
-    EXPECT_EQ(assigned.size(), copy.size());
-    EXPECT_EQ(assigned.shard_count(), copy.shard_count());
     assigned = std::move(moved);
     EXPECT_EQ(assigned.size(), 5u);
+    EXPECT_EQ(assigned.shard_count(), FeedbackStore::kDefaultShards);
+    EXPECT_EQ(assigned.history_snapshot(10).size(), 3u);
 }
 
 TEST(FeedbackStore, HistoryLengthAnswersWithoutCopying) {
@@ -319,8 +260,10 @@ TEST(FeedbackStore, SaveLoadRoundTrip) {
     const FeedbackStore loaded = FeedbackStore::load(dir);
     EXPECT_EQ(loaded.size(), store.size());
     EXPECT_EQ(loaded.servers(), store.servers());
-    EXPECT_EQ(loaded.history(10).feedbacks(), store.history(10).feedbacks());
-    EXPECT_EQ(loaded.history(20).feedbacks(), store.history(20).feedbacks());
+    for (const EntityId server : {10u, 20u}) {
+        EXPECT_EQ(loaded.history_snapshot(server).feedbacks(),
+                  store.history_snapshot(server).feedbacks());
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -334,9 +277,9 @@ TEST(FeedbackStoreIngestBatch, AppliesAValidBatchAtomically) {
     store.ingest_batch({fb(1, 10, 0, true), fb(2, 20, 0, false),
                         fb(3, 10, 0, true), fb(1, 30, 0, true)});
     EXPECT_EQ(store.size(), 4u);
-    EXPECT_EQ(store.history(10).size(), 2u);
-    EXPECT_EQ(store.history(20).size(), 1u);
-    EXPECT_EQ(store.history(30).size(), 1u);
+    EXPECT_EQ(store.history_snapshot(10).size(), 2u);
+    EXPECT_EQ(store.history_snapshot(20).size(), 1u);
+    EXPECT_EQ(store.history_snapshot(30).size(), 1u);
 }
 
 TEST(FeedbackStoreIngestBatch, RejectionLeavesEveryShardUntouched) {
@@ -344,7 +287,7 @@ TEST(FeedbackStoreIngestBatch, RejectionLeavesEveryShardUntouched) {
     store.submit(fb(5, 10, 0, true));
     // Spread the batch over several servers (hence shards); the offender
     // regresses server 10, which may hash to a LATER shard than some of
-    // the valid slices — unlike submit(vector), none of them may land.
+    // the valid slices — none of them may land.
     std::vector<Feedback> batch;
     for (EntityId server = 11; server <= 30; ++server) {
         batch.push_back(fb(1, server, 0, true));
@@ -381,13 +324,54 @@ TEST(FeedbackStoreIngestBatch, CountsOrderWithinTheBatchItself) {
     EXPECT_FALSE(store.contains(10));
     // Equal timestamps are legal (logical clocks may tie).
     store.ingest_batch({fb(7, 10, 0, true), fb(7, 10, 0, false)});
-    EXPECT_EQ(store.history(10).size(), 2u);
+    EXPECT_EQ(store.history_snapshot(10).size(), 2u);
 }
 
 TEST(FeedbackStoreIngestBatch, EmptyBatchIsANoOp) {
     FeedbackStore store{4};
     store.ingest_batch({});
     EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(FeedbackStore, LoadRejectsAFileMixingServers) {
+    const auto dir =
+        (std::filesystem::temp_directory_path() / "hpr_store_mixed_servers").string();
+    std::filesystem::remove_all(dir);
+    sample_store().save(dir);
+    {
+        // Append server 20's row to server 10's log, after its last time.
+        std::ofstream log{std::filesystem::path{dir} / "10.csv", std::ios::app};
+        log << "9,20,102,positive\n";
+    }
+    try {
+        (void)FeedbackStore::load(dir);
+        FAIL() << "loaded a log naming two servers";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string{error.what()}.find("10.csv"), std::string::npos)
+            << error.what();
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FeedbackStore, LoadRejectsAServerInTwoFiles) {
+    const auto dir =
+        (std::filesystem::temp_directory_path() / "hpr_store_repeated_server").string();
+    std::filesystem::remove_all(dir);
+    sample_store().save(dir);
+    const std::filesystem::path copy = std::filesystem::path{dir} / "10-copy.csv";
+    std::filesystem::copy_file(std::filesystem::path{dir} / "10.csv", copy);
+    try {
+        (void)FeedbackStore::load(dir);
+        FAIL() << "loaded server 10 from two files";
+    } catch (const std::runtime_error& error) {
+        // Directory order decides which of the two files comes second.
+        const std::string what = error.what();
+        EXPECT_TRUE(what.find("10.csv") != std::string::npos ||
+                    what.find("10-copy.csv") != std::string::npos)
+            << what;
+        EXPECT_NE(what.find("server 10"), std::string::npos) << what;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FeedbackStore, LoadIgnoresNonCsvFiles) {

@@ -3,7 +3,7 @@
 // The load-bearing claim: the thread pool decides only WHICH thread
 // assesses a server, never WHAT the assessment computes — so BatchAssessor
 // must reproduce the seed sequential path (one TwoPhaseAssessor walking
-// store.history(id) server by server) bit for bit, at any thread count.
+// store.history_snapshot(id) server by server) bit for bit, at any thread count.
 
 #include "serve/batch_assessor.h"
 
@@ -67,7 +67,7 @@ repsys::FeedbackStore mixed_store() {
                                  : repsys::Rating::kNegative});
         }
     }
-    store.submit(batch);
+    store.ingest_batch(batch);
     return store;
 }
 
@@ -110,7 +110,7 @@ TEST(BatchAssessor, MatchesSequentialTwoPhasePath) {
     bool saw_assessed = false;
     for (std::size_t i = 0; i < servers.size(); ++i) {
         ASSERT_EQ(results[i].server, servers[i]);
-        const auto reference = sequential.assess(store.history(servers[i]));
+        const auto reference = sequential.assess(store.history_snapshot(servers[i]));
         expect_identical(results[i].assessment, reference);
         saw_suspicious |= reference.verdict == core::Verdict::kSuspicious;
         saw_assessed |= reference.verdict == core::Verdict::kAssessed;
@@ -178,7 +178,7 @@ TEST(BatchAssessor, EmptyRequestYieldsEmptyResult) {
     EXPECT_TRUE(assessor.assess(store, {}).empty());
 }
 
-// --- incremental mode ------------------------------------------------------
+// --- streaming screener bank ----------------------------------------------
 
 /// Streams a whole tape through observe() and ingests it into the store.
 void stream(repsys::FeedbackStore& store, BatchAssessor& assessor,
@@ -202,7 +202,6 @@ TEST(BatchAssessorIncremental, ShortcutsFromStandingScreenerState) {
     BatchAssessorConfig config;
     config.assessment = assessment_config();
     config.threads = 2;
-    config.incremental = true;
     BatchAssessor assessor{config, beta_trust(), shared_cal()};
 
     stream(store, assessor, 1, 800, 0.96, 0.96);  // honest throughout
@@ -222,7 +221,7 @@ TEST(BatchAssessorIncremental, ShortcutsFromStandingScreenerState) {
     ASSERT_TRUE(results[0].assessment.trust.has_value());
     EXPECT_DOUBLE_EQ(
         *results[0].assessment.trust,
-        assessor.assessor().trust_function().evaluate(store.history(1).view()));
+        assessor.assessor().trust_function().evaluate(store.history_snapshot(1).view()));
 
     // Suspicious stream: rejected without a rescan, no trust value.
     EXPECT_EQ(results[1].assessment.verdict, core::Verdict::kSuspicious);
@@ -233,14 +232,13 @@ TEST(BatchAssessorIncremental, ShortcutsFromStandingScreenerState) {
     // Insufficient stream: falls through to the full two-phase scan.
     const core::TwoPhaseAssessor sequential{assessment_config(), beta_trust(),
                                             shared_cal()};
-    expect_identical(results[2].assessment, sequential.assess(store.history(3)));
+    expect_identical(results[2].assessment, sequential.assess(store.history_snapshot(3)));
 }
 
 TEST(BatchAssessorIncremental, StreamInfoMirrorsTheLiveScreener) {
     repsys::FeedbackStore store{4};
     BatchAssessorConfig config;
     config.assessment = assessment_config();
-    config.incremental = true;
     config.screener_horizon = 8;
     BatchAssessor assessor{config, beta_trust(), shared_cal()};
 
@@ -258,31 +256,12 @@ TEST(BatchAssessorIncremental, StreamInfoMirrorsTheLiveScreener) {
     EXPECT_LE(info->p_hat, 1.0);
     EXPECT_GT(info->memory_bytes, 0u);
 
-    // Never-observed servers and a disabled bank answer nullopt.
+    // Never-observed servers answer nullopt.
     EXPECT_FALSE(assessor.stream_info(99).has_value());
-    BatchAssessorConfig batch_only;
-    batch_only.assessment = assessment_config();
-    batch_only.incremental = false;
-    const BatchAssessor oracle{batch_only, beta_trust(), shared_cal()};
-    EXPECT_FALSE(oracle.stream_info(1).has_value());
-}
-
-TEST(BatchAssessorIncremental, ObserveIsNoOpWhenDisabled) {
-    repsys::FeedbackStore store{4};
-    BatchAssessorConfig config;
-    config.assessment = assessment_config();
-    config.threads = 1;
-    config.incremental = false;  // opt out of the streaming default
-    BatchAssessor assessor{config, beta_trust(), shared_cal()};
-    assessor.observe(repsys::Feedback{1, 1, 2, repsys::Rating::kPositive});
-    EXPECT_EQ(assessor.tracked_streams(), 0u);
-    EXPECT_EQ(assessor.stream_state(1), core::StreamState::kInsufficient);
-    EXPECT_EQ(assessor.stream_memory_bytes(), 0u);
 }
 
 TEST(BatchAssessorIncremental, StreamingIsTheDefaultServingMode) {
     const BatchAssessorConfig config;
-    EXPECT_TRUE(config.incremental);
     EXPECT_GT(config.screener_horizon, 0u);  // bounded out of the box
 
     BatchAssessorConfig used = config;
@@ -329,7 +308,7 @@ TEST(BatchAssessorIncremental, AssessBatchIsTheOracleAndIgnoresTheBank) {
     // And the oracle stays bit-identical to the sequential assessor.
     const core::TwoPhaseAssessor sequential{assessment_config(), beta_trust(),
                                             shared_cal()};
-    expect_identical(oracle[0].assessment, sequential.assess(store.history(1)));
+    expect_identical(oracle[0].assessment, sequential.assess(store.history_snapshot(1)));
 }
 
 TEST(BatchAssessorIncremental, StoreEvictionReleasesScreeners) {

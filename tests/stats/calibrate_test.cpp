@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -225,6 +226,43 @@ TEST(Calibrator, SaveLoadRoundTrip) {
     EXPECT_EQ(restored.threshold(100, 20, 0.95), eps_b);
     // Confidence flexibility survives persistence (full null samples).
     EXPECT_EQ(restored.threshold(40, 10, 0.9, 0.5), source.threshold(40, 10, 0.9, 0.5));
+    std::remove(path.c_str());
+}
+
+TEST(Calibrator, LoadKeepsResidentSamples) {
+    // A resident null sample may be referenced by a concurrent reader, so
+    // load_cache must not replace it, even with a valid sample that
+    // differs.  Build such a file by doubling every distance of a real
+    // sample (still sorted, finite and non-negative).
+    const auto path =
+        (std::filesystem::temp_directory_path() / "hpr_cal_resident.cache").string();
+    Calibrator cal;
+    const double eps = cal.threshold(40, 10, 0.9);
+    cal.save_cache(path);
+    {
+        std::ifstream in{path};
+        std::string header;
+        std::string body;
+        std::getline(in, header);
+        std::getline(in, body);
+        in.close();
+        const auto colon = body.find(':');
+        std::istringstream values{body.substr(colon + 1)};
+        std::ofstream out{path};
+        out.precision(17);
+        out << header << '\n' << body.substr(0, colon + 1);
+        double v = 0.0;
+        while (values >> v) out << ' ' << 2.0 * v;
+        out << '\n';
+    }
+    cal.load_cache(path);
+    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.threshold(40, 10, 0.9), eps);
+
+    // The file itself is valid and does carry a different sample.
+    Calibrator fresh;
+    fresh.load_cache(path);
+    EXPECT_EQ(fresh.threshold(40, 10, 0.9), 2.0 * eps);
     std::remove(path.c_str());
 }
 
