@@ -52,7 +52,7 @@ int main() {
             std::chrono::duration<double>(Clock::now() - warm_begin).count();
         std::printf("calibration warm start: %zu keys in %.1fs on %zu threads "
                     "(%zu Monte-Carlo runs)\n\n",
-                    warmed, warm_s, cal->threads(), cal->compute_count());
+                    warmed, warm_s, cal->threads(), cal->stats().misses);
     }
 
     hpr::stats::Rng rng{6001};

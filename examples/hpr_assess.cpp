@@ -17,13 +17,18 @@
 //
 // With no CSV argument a demo log is generated and assessed, so the tool
 // is runnable out of the box.
+//
+// Exit status: 0 not suspicious, 3 suspicious, 1 unreadable log or trust
+// spec, 2 malformed command line.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 
+#include "flags.h"
 #include "hpr.h"
 
 using namespace hpr;
@@ -81,11 +86,23 @@ Options parse(int argc, char** argv) {
         } else if (arg == "--bonferroni") {
             options.bonferroni = true;
         } else if (arg == "--window") {
-            options.window = static_cast<std::uint32_t>(std::stoul(next()));
+            const std::string value = next();
+            std::size_t window = 0;
+            if (!parse_flag_size(value.c_str(), 1, window) || window > UINT32_MAX) {
+                usage(argv[0], ("bad window size '" + value + "'").c_str());
+            }
+            options.window = static_cast<std::uint32_t>(window);
         } else if (arg == "--confidence") {
-            options.confidence = std::stod(next());
+            const std::string value = next();
+            if (!parse_flag_unit(value.c_str(), options.confidence) ||
+                options.confidence == 0.0 || options.confidence == 1.0) {
+                usage(argv[0], ("confidence must be in (0, 1), got '" + value + "'").c_str());
+            }
         } else if (arg == "--threshold") {
-            options.threshold = std::stod(next());
+            const std::string value = next();
+            if (!parse_flag_unit(value.c_str(), options.threshold)) {
+                usage(argv[0], ("threshold must be in [0, 1], got '" + value + "'").c_str());
+            }
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
         } else if (!arg.empty() && arg[0] == '-') {

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                              std::chrono::steady_clock::now() - start)
                              .count();
     std::printf("calibrated %zu keys (%zu Monte-Carlo runs) in %.1fs\n",
-                calibrator.cache_size(), computed, elapsed);
+                calibrator.stats().entries, computed, elapsed);
 
     calibrator.save_cache(path);
     std::printf("cache written to %s (%ju bytes)\n", path.c_str(),
@@ -67,6 +67,6 @@ int main(int argc, char** argv) {
                           .count();
     std::printf("restored calibrator answered 2 queries in %.0f microseconds "
                 "(cache size %zu, Monte-Carlo runs %zu)\n",
-                warm, restored.cache_size(), restored.compute_count());
+                warm, restored.stats().entries, restored.stats().misses);
     return 0;
 }

@@ -101,28 +101,10 @@ int usage(const char* argv0) {
     return 2;
 }
 
-/// Strict parse of a flag value into a double in [0, 1], with the same
-/// no-garbage and no-overflow (errno/ERANGE) discipline as
-/// parse_flag_size (flags.h).
-bool parse_flag_unit(const char* text, double& out) {
-    if (*text == '\0') return false;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (errno == ERANGE || end == text || *end != '\0') return false;
-    if (!(value >= 0.0) || value > 1.0) return false;
-    out = value;
-    return true;
-}
-
 /// Strict parse of a non-negative seconds value (decimals allowed).
 bool parse_flag_seconds(const char* text, double& out) {
-    if (*text == '\0') return false;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (errno == ERANGE || end == text || *end != '\0') return false;
-    if (!(value >= 0.0)) return false;
+    double value = 0.0;
+    if (!parse_flag_double(text, value) || value < 0.0) return false;
     out = value;
     return true;
 }

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -199,14 +200,16 @@ void register_servers(obs::IntrospectionTree& tree,
             }
 
             // "/servers/<id>"
-            std::uint64_t id = 0;
+            std::uint64_t parsed = 0;
             if (request.path.size() < 10 ||
-                !parse_u64(request.path.substr(9), id)) {
+                !parse_u64(request.path.substr(9), parsed) ||
+                parsed > std::numeric_limits<repsys::EntityId>::max()) {
                 IntrospectionPage page;
                 page.status = 404;
                 page.body = "not a server id: " + request.path + "\n";
                 return page;
             }
+            const auto id = static_cast<repsys::EntityId>(parsed);
             const std::optional<std::size_t> history =
                 store->history_length(id);
             const std::optional<serve::BatchAssessor::StreamInfo> info =
@@ -252,7 +255,7 @@ void register_calibration(obs::IntrospectionTree& tree,
     tree.add("/calibration", "text/plain; charset=utf-8",
              "Calibrator cache statistics (hits/misses/joins/in-flight)",
              [calibrator = std::move(calibrator)](const IntrospectionRequest&) {
-                 const stats::CalibratorStats stats = calibrator->stats();
+                 const stats::CacheStats stats = calibrator->stats();
                  std::string body;
                  append_kv(body, "hits", std::to_string(stats.hits));
                  append_kv(body, "misses", std::to_string(stats.misses));
@@ -260,7 +263,7 @@ void register_calibration(obs::IntrospectionTree& tree,
                            std::to_string(stats.single_flight_joins));
                  append_kv(body, "in_flight", std::to_string(stats.in_flight));
                  append_kv(body, "cache_entries",
-                           std::to_string(stats.cache_entries));
+                           std::to_string(stats.entries));
                  return text_page(std::move(body));
              });
 }

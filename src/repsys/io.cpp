@@ -1,5 +1,6 @@
 #include "repsys/io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,20 @@ std::vector<std::string> split_fields(const std::string& line) {
     std::istringstream in{line};
     while (std::getline(in, field, ',')) fields.push_back(field);
     return fields;
+}
+
+/// Strict integer field: the whole field must be one in-range decimal
+/// number.  Only a signed target accepts a leading '-'; no '+', spaces or
+/// trailing characters.
+template <class Int>
+Int parse_field(const std::string& field, const char* what) {
+    Int value{};
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+        throw std::runtime_error(std::string{"bad "} + what + " '" + field + "'");
+    }
+    return value;
 }
 
 }  // namespace
@@ -63,9 +78,9 @@ std::vector<Feedback> read_csv(std::istream& in) {
         }
         try {
             Feedback f;
-            f.time = std::stoll(fields[0]);
-            f.server = static_cast<EntityId>(std::stoul(fields[1]));
-            f.client = static_cast<EntityId>(std::stoul(fields[2]));
+            f.time = parse_field<Timestamp>(fields[0], "timestamp");
+            f.server = parse_field<EntityId>(fields[1], "server id");
+            f.client = parse_field<EntityId>(fields[2], "client id");
             f.rating = rating_from_string(fields[3]);
             feedbacks.push_back(f);
         } catch (const std::exception& e) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -19,24 +21,24 @@ namespace {
 /// Process-wide calibration metrics (aggregated over every Calibrator
 /// instance).  Resolved once; recording afterwards is lock-free.
 struct CalibrationMetrics {
-    obs::Counter& hits;
-    obs::Counter& misses;
-    obs::Counter& joins;
-    obs::Gauge& cache_entries;
+    CacheInstruments cache;
     obs::Histogram& compute_seconds;
 };
 
 CalibrationMetrics& calibration_metrics() {
     auto& registry = obs::default_registry();
     static CalibrationMetrics metrics{
-        registry.counter("hpr_calibration_cache_hits_total",
-                         "Threshold lookups answered from the memo cache"),
-        registry.counter("hpr_calibration_cache_misses_total",
-                         "Cold lookups that ran a Monte-Carlo null computation"),
-        registry.counter("hpr_calibration_single_flight_joins_total",
-                         "Lookups that joined an in-flight computation"),
-        registry.gauge("hpr_calibration_cache_entries",
-                       "Memoized null samples across live calibrators"),
+        {
+            .hits = &registry.counter("hpr_calibration_cache_hits_total",
+                                      "Threshold lookups answered from the memo cache"),
+            .misses = &registry.counter(
+                "hpr_calibration_cache_misses_total",
+                "Cold lookups that ran a Monte-Carlo null computation"),
+            .joins = &registry.counter("hpr_calibration_single_flight_joins_total",
+                                       "Lookups that joined an in-flight computation"),
+            .entries = &registry.gauge("hpr_calibration_cache_entries",
+                                       "Memoized null samples across live calibrators"),
+        },
         registry.histogram("hpr_calibration_compute_seconds",
                            "Wall time of one per-key Monte-Carlo null computation"),
     };
@@ -68,7 +70,8 @@ double empirical_quantile(std::vector<double> values, double q) {
     return sorted_quantile(values, q);
 }
 
-Calibrator::Calibrator(CalibrationConfig config) : config_(config) {
+Calibrator::Calibrator(CalibrationConfig config)
+    : config_(config), cache_(calibration_metrics().cache) {
     if (!(config_.confidence > 0.0 && config_.confidence < 1.0)) {
         throw std::invalid_argument("Calibrator: confidence must be in (0, 1)");
     }
@@ -84,12 +87,6 @@ Calibrator::Calibrator(CalibrationConfig config) : config_(config) {
     if (!(config_.windows_grid_ratio >= 1.0)) {
         throw std::invalid_argument("Calibrator: windows_grid_ratio must be >= 1");
     }
-}
-
-Calibrator::~Calibrator() {
-    // This instance's memoized entries disappear with it; keep the
-    // process-wide gauge an honest aggregate over live calibrators.
-    calibration_metrics().cache_entries.sub(static_cast<std::int64_t>(cache_.size()));
 }
 
 std::size_t Calibrator::threads() const noexcept {
@@ -147,8 +144,6 @@ Calibrator::Key Calibrator::make_key(std::size_t windows, std::uint32_t m,
 }
 
 std::vector<double> Calibrator::compute_null(const Key& key) const {
-    compute_count_.fetch_add(1, std::memory_order_relaxed);
-    calibration_metrics().misses.increment();
     obs::ScopedTimer span{calibration_metrics().compute_seconds};
     // Cold-key Monte-Carlo runs dominate first-contact assessment latency;
     // make them visible in the decision trace (the single-flight leader
@@ -194,60 +189,6 @@ std::vector<double> Calibrator::compute_null(const Key& key) const {
     return distances;
 }
 
-const std::vector<double>& Calibrator::null_for(const Key& key) {
-    {
-        // Hit fast path: no promise/future shared state (a heap
-        // allocation) is created and no writer is blocked.  A resident
-        // entry is never replaced (load_cache only inserts absent keys)
-        // and is erased only by clear_cache, so the returned reference
-        // stays valid after the lock is dropped.
-        const std::shared_lock lock{mutex_};
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            hit_count_.fetch_add(1, std::memory_order_relaxed);
-            calibration_metrics().hits.increment();
-            return it->second;
-        }
-    }
-    std::promise<const std::vector<double>*> promise;
-    std::shared_future<const std::vector<double>*> flight;
-    bool leader = false;
-    {
-        const std::scoped_lock lock{mutex_};
-        // Re-check: the key may have landed between the two locks.
-        if (const auto it = cache_.find(key); it != cache_.end()) {
-            hit_count_.fetch_add(1, std::memory_order_relaxed);
-            calibration_metrics().hits.increment();
-            return it->second;
-        }
-        if (const auto it = inflight_.find(key); it != inflight_.end()) {
-            flight = it->second;  // join the computation already under way
-            join_count_.fetch_add(1, std::memory_order_relaxed);
-            calibration_metrics().joins.increment();
-        } else {
-            leader = true;
-            flight = promise.get_future().share();
-            inflight_.emplace(key, flight);
-        }
-    }
-    if (!leader) return *flight.get();  // rethrows the leader's failure, if any
-    try {
-        std::vector<double> null = compute_null(key);
-        const std::scoped_lock lock{mutex_};
-        const auto* stored = &cache_.emplace(key, std::move(null)).first->second;
-        inflight_.erase(key);
-        calibration_metrics().cache_entries.add(1);
-        promise.set_value(stored);
-        return *stored;
-    } catch (...) {
-        {
-            const std::scoped_lock lock{mutex_};
-            inflight_.erase(key);  // let a later caller retry the key
-        }
-        promise.set_exception(std::current_exception());
-        throw;
-    }
-}
-
 double Calibrator::threshold(std::size_t windows, std::uint32_t m, double p_hat) {
     return threshold(windows, m, p_hat, config_.confidence);
 }
@@ -257,12 +198,13 @@ double Calibrator::threshold(std::size_t windows, std::uint32_t m, double p_hat,
     if (!(confidence > 0.0 && confidence < 1.0)) {
         throw std::invalid_argument("Calibrator::threshold: confidence in (0, 1)");
     }
-    return sorted_quantile(null_for(make_key(windows, m, p_hat)), confidence);
+    return sorted_quantile(*null_distances(windows, m, p_hat), confidence);
 }
 
-const std::vector<double>& Calibrator::null_distances(std::size_t windows,
-                                                      std::uint32_t m, double p_hat) {
-    return null_for(make_key(windows, m, p_hat));
+std::shared_ptr<const std::vector<double>> Calibrator::null_distances(
+    std::size_t windows, std::uint32_t m, double p_hat) {
+    const Key key = make_key(windows, m, p_hat);
+    return cache_.get(key, [&] { return compute_null(key); });
 }
 
 std::size_t Calibrator::precalibrate(const std::vector<std::size_t>& windows,
@@ -279,44 +221,16 @@ std::size_t Calibrator::precalibrate(const std::vector<std::size_t>& windows,
         }
     }
     std::vector<Key> cold;
-    {
-        const std::scoped_lock lock{mutex_};
-        for (const Key& key : keys) {
-            if (!cache_.contains(key)) cold.push_back(key);
-        }
+    for (const Key& key : keys) {
+        if (!cache_.contains(key)) cold.push_back(key);
     }
     if (cold.empty()) return 0;
-    // null_for (not compute_null) so a request racing the warm-up joins
-    // the in-flight computation instead of duplicating it.
-    pool().parallel_for(cold.size(),
-                        [&](std::size_t i) { (void)null_for(cold[i]); });
+    // Through the cache (not compute_null directly) so a request racing
+    // the warm-up joins the in-flight computation instead of duplicating it.
+    pool().parallel_for(cold.size(), [&](std::size_t i) {
+        (void)cache_.get(cold[i], [&] { return compute_null(cold[i]); });
+    });
     return cold.size();
-}
-
-std::size_t Calibrator::cache_size() const {
-    const std::scoped_lock lock{mutex_};
-    return cache_.size();
-}
-
-std::size_t Calibrator::compute_count() const noexcept {
-    return compute_count_.load(std::memory_order_relaxed);
-}
-
-CalibratorStats Calibrator::stats() const {
-    const std::scoped_lock lock{mutex_};
-    CalibratorStats snapshot;
-    snapshot.hits = hit_count_.load(std::memory_order_relaxed);
-    snapshot.misses = compute_count_.load(std::memory_order_relaxed);
-    snapshot.single_flight_joins = join_count_.load(std::memory_order_relaxed);
-    snapshot.in_flight = inflight_.size();
-    snapshot.cache_entries = cache_.size();
-    return snapshot;
-}
-
-void Calibrator::clear_cache() {
-    const std::scoped_lock lock{mutex_};
-    calibration_metrics().cache_entries.sub(static_cast<std::int64_t>(cache_.size()));
-    cache_.clear();
 }
 
 std::string Calibrator::header_line() const {
@@ -332,12 +246,17 @@ void Calibrator::save_cache(const std::string& path) const {
     if (!out) {
         throw std::runtime_error("Calibrator::save_cache: cannot open '" + path + "'");
     }
+    std::vector<std::pair<Key, std::shared_ptr<const std::vector<double>>>> samples;
+    cache_.for_each([&samples](const Key& key, const auto& null_sample) {
+        samples.emplace_back(key, null_sample);
+    });
+    std::sort(samples.begin(), samples.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     out << header_line() << '\n';
     out.precision(17);
-    const std::scoped_lock lock{mutex_};
-    for (const auto& [key, null_sample] : cache_) {
+    for (const auto& [key, null_sample] : samples) {
         out << key.windows << ' ' << key.m << ' ' << key.p_bucket << ':';
-        for (const double v : null_sample) out << ' ' << v;
+        for (const double v : *null_sample) out << ' ' << v;
         out << '\n';
     }
     if (!out) {
@@ -411,14 +330,9 @@ void Calibrator::load_cache(const std::string& path) {
         }
         loaded.emplace(key, std::move(values));
     }
-    const std::scoped_lock lock{mutex_};
-    std::int64_t fresh = 0;
-    for (auto& [key, values] : loaded) {
-        // Never overwrite a resident sample: readers may hold a reference
-        // to it, and it is already the one the validated header implies.
-        if (cache_.try_emplace(key, std::move(values)).second) ++fresh;
-    }
-    calibration_metrics().cache_entries.add(fresh);
+    // A resident sample is kept: it is already the one the validated
+    // header implies.
+    for (auto& [key, values] : loaded) (void)cache_.insert_absent(key, std::move(values));
 }
 
 }  // namespace hpr::stats

@@ -18,21 +18,20 @@
 /// for any confidence level against one cached simulation — multi-testing
 /// uses this for its family-wise (Bonferroni) correction.
 ///
-/// Three mechanisms make the cold path production-grade:
+/// Two mechanisms make cold keys cheap:
 ///
 ///  * **Chunk-parallel Monte-Carlo.**  The replication loop is split into
 ///    fixed chunks of kChunkReplications; chunk c draws from an Rng seeded
 ///    with splitmix64(key_seed + c).  Seeds depend only on the key and the
 ///    chunk index — never on which thread runs the chunk — so 1, 2, or N
 ///    worker threads produce the bit-identical sorted null sample.
-///  * **Single-flight deduplication.**  Threads that miss the same cold
-///    key join one in-flight computation instead of each paying for a
-///    full Monte-Carlo run (the classic check-then-act race this fixes
-///    previously made N concurrent misses cost N runs).
 ///  * **Warm start.**  precalibrate() fans a whole key grid across the
 ///    worker pool up front and composes with save_cache()/load_cache(),
 ///    so deployments can ship a precomputed cache and never calibrate on
 ///    the request path.
+///
+/// The memo itself — hits, single-flight misses, stats — is an unbounded
+/// stats::SingleFlightCache (single_flight_cache.h).
 ///
 /// Two quantizations keep the key space small; both err on the
 /// conservative side (a slightly *larger* ε, hence fewer false alarms):
@@ -43,19 +42,16 @@
 /// This is what makes repeated screening of growing histories O(1)
 /// amortized — the enabler of the O(n) multi-test timing of §5.5 / Fig. 9.
 
-#include <atomic>
 #include <cstdint>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "stats/binomial.h"
 #include "stats/distance.h"
 #include "stats/rng.h"
+#include "stats/single_flight_cache.h"
 #include "stats/thread_pool.h"
 
 namespace hpr::stats {
@@ -82,18 +78,6 @@ struct CalibrationConfig {
     std::size_t threads = 0;
 };
 
-/// Point-in-time cache behavior of a Calibrator (see Calibrator::stats()).
-/// Lets callers assert cache behavior directly instead of parsing
-/// exporter text; the obs registry mirrors the same quantities as
-/// process-wide aggregates across all calibrator instances.
-struct CalibratorStats {
-    std::size_t hits = 0;    ///< lookups answered from the memo cache
-    std::size_t misses = 0;  ///< cold lookups that ran Monte-Carlo (flight leaders)
-    std::size_t single_flight_joins = 0;  ///< lookups that waited on an in-flight run
-    std::size_t in_flight = 0;      ///< keys being computed right now
-    std::size_t cache_entries = 0;  ///< distinct keys memoized
-};
-
 /// Memoizing Monte-Carlo calibrator. Thread-safe; concurrent misses of
 /// the same key share one computation (single-flight).
 class Calibrator {
@@ -105,7 +89,6 @@ public:
     static constexpr std::size_t kChunkReplications = 32;
 
     explicit Calibrator(CalibrationConfig config = {});
-    ~Calibrator();
 
     /// Threshold ε at the calibrator's default confidence.
     ///
@@ -121,11 +104,9 @@ public:
                                    double confidence);
 
     /// The full sorted null-distance sample for a key (useful for plotting
-    /// Fig. 8-style curves and for tests).  The reference stays valid
-    /// until clear_cache().
-    [[nodiscard]] const std::vector<double>& null_distances(std::size_t windows,
-                                                            std::uint32_t m,
-                                                            double p_hat);
+    /// Fig. 8-style curves and for tests).
+    [[nodiscard]] std::shared_ptr<const std::vector<double>> null_distances(
+        std::size_t windows, std::uint32_t m, double p_hat);
 
     /// Warm the cache for the cross product windows × window_sizes ×
     /// p_hats, fanning cold keys out across the worker pool.  Arguments
@@ -146,26 +127,15 @@ public:
     /// concurrency when that is 0).
     [[nodiscard]] std::size_t threads() const noexcept;
 
-    /// Number of distinct keys calibrated so far.
-    [[nodiscard]] std::size_t cache_size() const;
-
-    /// Number of Monte-Carlo computations actually executed (cache misses
-    /// that became the single flight).  A concurrency probe: N threads
-    /// racing one cold key must bump this exactly once.
-    [[nodiscard]] std::size_t compute_count() const noexcept;
-
     /// Snapshot of this instance's cache behavior: hit/miss/join counts,
-    /// keys currently in flight, and the memo size.  hits + misses +
-    /// single_flight_joins equals the number of completed lookups.
-    [[nodiscard]] CalibratorStats stats() const;
-
-    /// Drop all memoized null samples.  Invalidates every reference
-    /// null_distances() returned, so it must not race lookups
-    /// (threshold(), null_distances(), warm-up) on this calibrator.
-    void clear_cache();
+    /// keys currently in flight, and the memo size.  misses counts the
+    /// Monte-Carlo computations actually run.
+    [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
 
     /// Persist the memoized null samples so a later process can skip the
     /// Monte-Carlo warm-up (useful for deployments screening at startup).
+    /// Keys are written in ascending (windows, m, p_bucket) order, so the
+    /// file is a pure function of the cache contents.
     /// \throws std::runtime_error on I/O failure.
     void save_cache(const std::string& path) const;
 
@@ -190,25 +160,21 @@ private:
         auto operator<=>(const Key&) const = default;
     };
 
+    struct KeyHash {
+        [[nodiscard]] std::size_t operator()(const Key& key) const noexcept {
+            std::uint64_t state = (key.windows * 0x9e3779b97f4a7c15ULL) ^
+                                  (static_cast<std::uint64_t>(key.m) << 32) ^ key.p_bucket;
+            return static_cast<std::size_t>(splitmix64(state));
+        }
+    };
+
     [[nodiscard]] Key make_key(std::size_t windows, std::uint32_t m, double p_hat) const;
     [[nodiscard]] std::vector<double> compute_null(const Key& key) const;
-    [[nodiscard]] const std::vector<double>& null_for(const Key& key);
     [[nodiscard]] std::string header_line() const;
     [[nodiscard]] ThreadPool& pool() const;
 
     CalibrationConfig config_;
-    /// Read-mostly: threshold hits take the shared side; misses,
-    /// warm-up and persistence take it exclusively.
-    mutable std::shared_mutex mutex_;
-    std::map<Key, std::vector<double>> cache_;
-
-    /// Keys being computed right now; followers wait on the future while
-    /// the flight leader runs the Monte-Carlo loop outside the lock.
-    std::map<Key, std::shared_future<const std::vector<double>*>> inflight_;
-
-    mutable std::atomic<std::size_t> compute_count_{0};
-    mutable std::atomic<std::size_t> hit_count_{0};
-    mutable std::atomic<std::size_t> join_count_{0};
+    SingleFlightCache<Key, std::vector<double>, KeyHash> cache_;
     mutable std::once_flag pool_once_;
     mutable std::unique_ptr<ThreadPool> pool_;
 };

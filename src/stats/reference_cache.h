@@ -11,50 +11,29 @@
 /// always the rational good_total / (k·m), the distinct reference models a
 /// deployment touches form a small, heavily re-hit set: cache them.
 ///
-/// Two properties make the cache safe to put on the verdict path:
+/// Keys are the window size m plus the rational p̂ reduced to lowest
+/// terms — NOT a quantized bucket.  IEEE-754 division is correctly
+/// rounded, so (good/g) / (total/g) and good / total are the same double
+/// whenever the integers convert to double exactly (they are below 2^53 in
+/// any real workload; callers with larger totals must construct fresh
+/// models).  A cached model is therefore bit-identical to a freshly
+/// constructed one — verdicts, distances and margins cannot drift by even
+/// one ulp.
 ///
-///  * **Exact keying.**  Keys are the window size m plus the rational p̂
-///    reduced to lowest terms — NOT a quantized bucket.  IEEE-754 division
-///    is correctly rounded, so (good/g) / (total/g) and good / total are
-///    the same double whenever the integers convert to double exactly
-///    (they are below 2^53 in any real workload; callers with larger
-///    totals must construct fresh models).  A cached model is therefore
-///    bit-identical to a freshly constructed one — verdicts, distances and
-///    margins cannot drift by even one ulp.
-///  * **Single-flight construction.**  Concurrent misses of the same key
-///    join one in-flight construction (the stats::Calibrator discipline)
-///    instead of each building the table.
-///
-/// Values are handed out as shared_ptr<const Binomial>, so an entry evicted
-/// while a reader still holds it simply outlives its cache slot.  The cache
-/// is bounded: inserting beyond `capacity` evicts the least-recently-used
-/// entry.  Hits take a shared lock and bump a per-entry atomic recency
-/// stamp; only misses and evictions take the exclusive lock.
+/// The lookup, single-flight construction, capacity-bounded eviction and
+/// stats are those of stats::SingleFlightCache (single_flight_cache.h).
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "stats/binomial.h"
+#include "stats/rng.h"
+#include "stats/single_flight_cache.h"
 
 namespace hpr::stats {
 
-/// Point-in-time behavior snapshot of a ReferenceModelCache (the obs
-/// registry mirrors the same quantities as process-wide aggregates).
-struct ReferenceModelCacheStats {
-    std::size_t hits = 0;    ///< lookups answered from the cache
-    std::size_t misses = 0;  ///< cold lookups that built a model (flight leaders)
-    std::size_t single_flight_joins = 0;  ///< lookups that waited on an in-flight build
-    std::size_t evictions = 0;      ///< entries dropped by the LRU bound
-    std::size_t in_flight = 0;      ///< keys being constructed right now
-    std::size_t entries = 0;        ///< models currently resident
-};
-
-/// Thread-safe LRU cache of immutable Binomial reference models keyed by
-/// (m, p̂ as an exact reduced rational).
+/// Thread-safe bounded cache of immutable Binomial reference models keyed
+/// by (m, p̂ as an exact reduced rational).
 class ReferenceModelCache {
 public:
     /// Default resident-model bound.  A key is (m, reduced p̂); a serving
@@ -76,13 +55,13 @@ public:
                                                             std::uint64_t good,
                                                             std::uint64_t total);
 
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return cache_.capacity(); }
 
     /// Snapshot of hit/miss/join/eviction counts and current occupancy.
-    [[nodiscard]] ReferenceModelCacheStats stats() const;
+    [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
 
     /// Drop every resident model (outstanding shared_ptrs stay valid).
-    void clear();
+    void clear() { cache_.clear(); }
 
     /// The process-wide cache used by assessors that are not handed a
     /// dedicated instance (core::BehaviorTestConfig::reference_cache).
@@ -101,48 +80,20 @@ private:
         auto operator<=>(const Key&) const = default;
     };
 
-    struct Entry {
-        Entry(std::shared_ptr<const Binomial> m, std::uint64_t stamp)
-            : model(std::move(m)), last_used(stamp) {}
-        std::shared_ptr<const Binomial> model;
-        std::atomic<std::uint64_t> last_used;  ///< recency stamp (global tick)
-    };
-
-    /// splitmix64-style mix of (m, num, den).  The hot path is one hash
-    /// plus one bucket probe — measurably cheaper than the pointer-chasing
+    /// splitmix64 mix of (m, num, den).  The hot path is one hash plus
+    /// one bucket probe — measurably cheaper than the pointer-chasing
     /// compares of an ordered map at steady-state occupancy.
     struct KeyHash {
         [[nodiscard]] std::size_t operator()(const Key& key) const noexcept {
-            std::uint64_t h = key.num + 0x9e3779b97f4a7c15ULL * (key.den + key.m);
-            h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-            return static_cast<std::size_t>(h ^ (h >> 31));
+            std::uint64_t state = key.num + 0x9e3779b97f4a7c15ULL * (key.den + key.m);
+            return static_cast<std::size_t>(splitmix64(state));
         }
     };
 
     [[nodiscard]] static Key make_key(std::uint32_t m, std::uint64_t good,
                                       std::uint64_t total);
-    [[nodiscard]] std::uint64_t next_stamp() noexcept {
-        return tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    /// Evict least-recently-used entries down to capacity.  Requires the
-    /// exclusive lock.
-    void evict_excess_locked();
 
-    std::size_t capacity_;
-    mutable std::shared_mutex mutex_;
-    std::unordered_map<Key, Entry, KeyHash> cache_;
-
-    /// Keys being constructed right now; followers wait on the future
-    /// while the flight leader builds the table outside the lock.
-    std::unordered_map<Key, std::shared_future<std::shared_ptr<const Binomial>>, KeyHash>
-        inflight_;
-
-    std::atomic<std::uint64_t> tick_{0};
-    std::atomic<std::size_t> hits_{0};
-    std::atomic<std::size_t> misses_{0};
-    std::atomic<std::size_t> joins_{0};
-    std::atomic<std::size_t> evictions_{0};
+    SingleFlightCache<Key, Binomial, KeyHash> cache_;
 };
 
 }  // namespace hpr::stats

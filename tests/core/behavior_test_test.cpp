@@ -204,7 +204,7 @@ TEST(WarmCalibration, CoversEveryKeyScreeningCanHit) {
     const auto cal = make_calibrator(config);
     const std::size_t warmed = warm_calibration(*cal, 10, 300 / 10, 0.7, 1.0);
     EXPECT_GT(warmed, 0u);
-    EXPECT_EQ(cal->compute_count(), warmed);
+    EXPECT_EQ(cal->stats().misses, warmed);
 
     const BehaviorTest bt{config, cal};
     stats::Rng rng{77};
@@ -214,7 +214,7 @@ TEST(WarmCalibration, CoversEveryKeyScreeningCanHit) {
             (void)bt.test(std::span<const std::uint8_t>{outcomes});
         }
     }
-    EXPECT_EQ(cal->compute_count(), warmed) << "screening hit a cold key";
+    EXPECT_EQ(cal->stats().misses, warmed) << "screening hit a cold key";
 }
 
 TEST(WarmCalibration, RejectsBadArguments) {

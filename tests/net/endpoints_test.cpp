@@ -205,6 +205,8 @@ TEST(Endpoints, ServerDetailPageAndUnknownIds) {
 
     EXPECT_EQ(tree.get("/servers/9999").status, 404);
     EXPECT_EQ(tree.get("/servers/notanumber").status, 404);
+    // 2^32 + 7 must not wrap onto server 7.
+    EXPECT_EQ(tree.get("/servers/4294967303").status, 404);
 }
 
 TEST(Endpoints, CalibrationPageReportsCacheStatistics) {

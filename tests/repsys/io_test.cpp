@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace hpr::repsys {
@@ -70,6 +71,37 @@ TEST(Io, ReadRejectsNonNumericFields) {
         "time,server,client,rating\n"
         "abc,42,7,positive\n"};
     EXPECT_THROW((void)read_csv(in), std::runtime_error);
+}
+
+TEST(Io, ReadRejectsTruncatingOrWrappingIds) {
+    // Each row once parsed as a different, valid-looking record: a prefix
+    // parse stopped at the first non-digit and the 32-bit id cast wrapped.
+    for (const char* row : {"1,4294967297,3,positive", "1,7x,3,positive",
+                            "1,-1,3,positive", "1,+7,3,positive", "1, 7,3,positive",
+                            "1,,3,positive", "1,7,4294967296,positive",
+                            "12abc,5,3,positive", "1.5,5,3,positive",
+                            "99999999999999999999,5,3,positive"}) {
+        std::istringstream in{std::string{"time,server,client,rating\n"} + row + "\n"};
+        try {
+            (void)read_csv(in);
+            ADD_FAILURE() << "accepted '" << row << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("line 2"), std::string::npos) << row;
+        }
+    }
+}
+
+TEST(Io, ReadAcceptsFullRangeIdsAndSignedTimes) {
+    std::istringstream in{
+        "time,server,client,rating\n"
+        "-9223372036854775808,4294967295,0,positive\n"
+        "9223372036854775807,0,4294967295,negative\n"};
+    const auto feedbacks = read_csv(in);
+    ASSERT_EQ(feedbacks.size(), 2u);
+    EXPECT_EQ(feedbacks[0].time, std::numeric_limits<Timestamp>::min());
+    EXPECT_EQ(feedbacks[0].server, 4294967295u);
+    EXPECT_EQ(feedbacks[1].time, std::numeric_limits<Timestamp>::max());
+    EXPECT_EQ(feedbacks[1].client, 4294967295u);
 }
 
 TEST(Io, ErrorsMentionLineNumber) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -108,22 +110,20 @@ TEST(Calibrator, HigherConfidenceGivesHigherThreshold) {
 
 TEST(Calibrator, CacheGrowsOncePerKey) {
     Calibrator cal;
-    EXPECT_EQ(cal.cache_size(), 0u);
+    EXPECT_EQ(cal.stats().entries, 0u);
     (void)cal.threshold(40, 10, 0.9);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     (void)cal.threshold(40, 10, 0.9);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     // Same p bucket (grid 256): 0.9 and 0.9001 quantize identically.
     (void)cal.threshold(40, 10, 0.9001);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     // Same window-count bucket on the geometric grid.
     (void)cal.threshold(cal.effective_windows(40), 10, 0.9);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     // A clearly different window count lands on a new grid point.
     (void)cal.threshold(400, 10, 0.9);
-    EXPECT_EQ(cal.cache_size(), 2u);
-    cal.clear_cache();
-    EXPECT_EQ(cal.cache_size(), 0u);
+    EXPECT_EQ(cal.stats().entries, 2u);
 }
 
 TEST(Calibrator, EffectiveWindowsGridIsMonotoneAndConservative) {
@@ -150,7 +150,7 @@ TEST(Calibrator, ExactModeWithUnitGridRatio) {
     EXPECT_EQ(cal.effective_windows(41), 41u);
     (void)cal.threshold(40, 10, 0.9);
     (void)cal.threshold(41, 10, 0.9);
-    EXPECT_EQ(cal.cache_size(), 2u);
+    EXPECT_EQ(cal.stats().entries, 2u);
 }
 
 TEST(Calibrator, ExplicitConfidenceReusesNullSample) {
@@ -158,7 +158,7 @@ TEST(Calibrator, ExplicitConfidenceReusesNullSample) {
     const double at95 = cal.threshold(40, 10, 0.9, 0.95);
     const double at99 = cal.threshold(40, 10, 0.9, 0.99);
     EXPECT_LT(at95, at99);
-    EXPECT_EQ(cal.cache_size(), 1u);  // one null sample serves both
+    EXPECT_EQ(cal.stats().entries, 1u);  // one null sample serves both
     EXPECT_THROW((void)cal.threshold(40, 10, 0.9, 0.0), std::invalid_argument);
     EXPECT_THROW((void)cal.threshold(40, 10, 0.9, 1.0), std::invalid_argument);
 }
@@ -177,12 +177,12 @@ TEST(Calibrator, WindowsCapSharesThreshold) {
     Calibrator cal{config};
     const double at_cap = cal.threshold(64, 10, 0.9);
     EXPECT_EQ(cal.threshold(100000, 10, 0.9), at_cap);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
 }
 
 TEST(Calibrator, NullDistancesAreSortedAndQuantileConsistent) {
     Calibrator cal;
-    const auto distances = cal.null_distances(40, 10, 0.9);
+    const auto distances = *cal.null_distances(40, 10, 0.9);
     ASSERT_EQ(distances.size(), cal.config().replications);
     for (std::size_t i = 1; i < distances.size(); ++i) {
         ASSERT_LE(distances[i - 1], distances[i]);
@@ -221,12 +221,47 @@ TEST(Calibrator, SaveLoadRoundTrip) {
 
     Calibrator restored;
     restored.load_cache(path);
-    EXPECT_EQ(restored.cache_size(), source.cache_size());
+    EXPECT_EQ(restored.stats().entries, source.stats().entries);
     EXPECT_EQ(restored.threshold(40, 10, 0.9), eps_a);
     EXPECT_EQ(restored.threshold(100, 20, 0.95), eps_b);
     // Confidence flexibility survives persistence (full null samples).
     EXPECT_EQ(restored.threshold(40, 10, 0.9, 0.5), source.threshold(40, 10, 0.9, 0.5));
     std::remove(path.c_str());
+}
+
+TEST(Calibrator, SaveIsIndependentOfFillOrder) {
+    // The memo is hashed, so save_cache sorts its keys: the same cache
+    // contents must persist to the same bytes whatever the fill order.
+    const auto dir = std::filesystem::temp_directory_path();
+    const auto forward_path = (dir / "hpr_cal_order_fwd.cache").string();
+    const auto backward_path = (dir / "hpr_cal_order_bwd.cache").string();
+    CalibrationConfig config;
+    config.replications = 64;
+    const struct {
+        std::size_t windows;
+        std::uint32_t m;
+        double p;
+    } keys[] = {{5, 10, 0.9}, {400, 10, 0.55}, {40, 20, 0.75}, {40, 10, 0.95},
+                {2048, 5, 0.5}, {40, 10, 0.6}};
+    Calibrator forward{config};
+    for (const auto& key : keys) (void)forward.threshold(key.windows, key.m, key.p);
+    Calibrator backward{config};
+    for (auto it = std::rbegin(keys); it != std::rend(keys); ++it) {
+        (void)backward.threshold(it->windows, it->m, it->p);
+    }
+    forward.save_cache(forward_path);
+    backward.save_cache(backward_path);
+    const auto slurp = [](const std::string& path) {
+        std::ifstream in{path};
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string saved = slurp(forward_path);
+    EXPECT_EQ(std::count(saved.begin(), saved.end(), '\n'), 1 + std::ssize(keys));
+    EXPECT_EQ(saved, slurp(backward_path));
+    std::remove(forward_path.c_str());
+    std::remove(backward_path.c_str());
 }
 
 TEST(Calibrator, LoadKeepsResidentSamples) {
@@ -256,7 +291,7 @@ TEST(Calibrator, LoadKeepsResidentSamples) {
         out << '\n';
     }
     cal.load_cache(path);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     EXPECT_EQ(cal.threshold(40, 10, 0.9), eps);
 
     // The file itself is valid and does carry a different sample.
@@ -330,7 +365,7 @@ TEST(Calibrator, ConcurrentThresholdQueriesAreSafe) {
 }
 
 TEST(Calibrator, SingleFlightColdKeyComputesOnce) {
-    // Regression for the check-then-act race in null_for: two threads
+    // Regression for a check-then-act race on the miss path: two threads
     // missing the same key both used to run the full Monte-Carlo
     // computation.  Hammer one cold key from many threads and demand
     // exactly one compute_null execution.
@@ -339,7 +374,7 @@ TEST(Calibrator, SingleFlightColdKeyComputesOnce) {
     config.windows_grid_ratio = 1.0;
     config.threads = 1;  // serial chunks: isolates the dedup mechanism
     Calibrator cal{config};
-    ASSERT_EQ(cal.compute_count(), 0u);
+    ASSERT_EQ(cal.stats().misses, 0u);
     std::vector<double> results(kThreads, -1.0);
     {
         std::vector<std::thread> threads;
@@ -351,20 +386,20 @@ TEST(Calibrator, SingleFlightColdKeyComputesOnce) {
         }
         for (auto& thread : threads) thread.join();
     }
-    EXPECT_EQ(cal.compute_count(), 1u);
-    EXPECT_EQ(cal.cache_size(), 1u);
+    EXPECT_EQ(cal.stats().misses, 1u);
+    EXPECT_EQ(cal.stats().entries, 1u);
     for (const double r : results) EXPECT_EQ(r, results.front());
 
     // The stats() snapshot tells the same story without poking internals:
     // one miss did the work, the other eleven lookups either joined the
     // flight or hit the cache just after the leader published, and
     // nothing is left in flight.
-    const CalibratorStats stats = cal.stats();
+    const CacheStats stats = cal.stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits + stats.single_flight_joins,
               static_cast<std::size_t>(kThreads) - 1u);
     EXPECT_EQ(stats.in_flight, 0u);
-    EXPECT_EQ(stats.cache_entries, 1u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(Calibrator, ParallelMatchesSerialBitIdentical) {
@@ -386,10 +421,10 @@ TEST(Calibrator, ParallelMatchesSerialBitIdentical) {
     } keys[] = {{5, 10, 0.9}, {40, 10, 0.9}, {40, 20, 0.75}, {400, 10, 0.95},
                 {2048, 10, 0.5}};
     for (const auto& key : keys) {
-        const auto& base = serial.null_distances(key.windows, key.m, key.p);
-        ASSERT_EQ(base, two.null_distances(key.windows, key.m, key.p))
+        const auto base = serial.null_distances(key.windows, key.m, key.p);
+        ASSERT_EQ(*base, *two.null_distances(key.windows, key.m, key.p))
             << "2 threads diverged at k=" << key.windows;
-        ASSERT_EQ(base, eight.null_distances(key.windows, key.m, key.p))
+        ASSERT_EQ(*base, *eight.null_distances(key.windows, key.m, key.p))
             << "8 threads diverged at k=" << key.windows;
         EXPECT_EQ(serial.threshold(key.windows, key.m, key.p),
                   two.threshold(key.windows, key.m, key.p));
@@ -415,8 +450,8 @@ TEST(Calibrator, ParallelMatchesSerialAcrossTheFig9Grid) {
         const std::size_t bucket = serial.effective_windows(k);
         for (int b = 218; b <= 243; ++b) {  // p̂ buckets covering [0.85, 0.95]
             const double p = b / 256.0;
-            ASSERT_EQ(serial.null_distances(bucket, 10, p),
-                      parallel.null_distances(bucket, 10, p))
+            ASSERT_EQ(*serial.null_distances(bucket, 10, p),
+                      *parallel.null_distances(bucket, 10, p))
                 << "k=" << bucket << " p=" << p;
             ASSERT_EQ(serial.threshold(bucket, 10, p), parallel.threshold(bucket, 10, p));
             ++keys_checked;
@@ -429,7 +464,7 @@ TEST(Calibrator, ParallelMatchesSerialAcrossTheFig9Grid) {
         k = next;
     }
     EXPECT_GT(keys_checked, 500u);
-    EXPECT_EQ(serial.cache_size(), parallel.cache_size());
+    EXPECT_EQ(serial.stats().entries, parallel.stats().entries);
 }
 
 TEST(Calibrator, ThreadsResolveToAtLeastOne) {
@@ -448,8 +483,8 @@ TEST(Calibrator, PrecalibrateWarmsTheGrid) {
     const std::vector<std::uint32_t> sizes{10};
     const std::vector<double> p_hats{0.85, 0.9, 0.95};
     const std::size_t computed = cal.precalibrate(windows, sizes, p_hats);
-    EXPECT_EQ(computed, cal.cache_size());
-    EXPECT_EQ(computed, cal.compute_count());
+    EXPECT_EQ(computed, cal.stats().entries);
+    EXPECT_EQ(computed, cal.stats().misses);
     EXPECT_GT(computed, 0u);
     // Every grid point now answers from cache: no further Monte-Carlo.
     for (const auto k : windows) {
@@ -457,7 +492,7 @@ TEST(Calibrator, PrecalibrateWarmsTheGrid) {
             (void)cal.threshold(k, 10, p);
         }
     }
-    EXPECT_EQ(cal.compute_count(), computed);
+    EXPECT_EQ(cal.stats().misses, computed);
     // Re-warming the same grid is free.
     EXPECT_EQ(cal.precalibrate(windows, sizes, p_hats), 0u);
     // And the values equal an unwarmed serial calibrator's.
@@ -470,7 +505,7 @@ TEST(Calibrator, PrecalibrateValidatesArguments) {
     EXPECT_THROW((void)cal.precalibrate({0}, {10}, {0.9}), std::invalid_argument);
     EXPECT_THROW((void)cal.precalibrate({5}, {0}, {0.9}), std::invalid_argument);
     EXPECT_THROW((void)cal.precalibrate({5}, {10}, {1.5}), std::invalid_argument);
-    EXPECT_EQ(cal.cache_size(), 0u);
+    EXPECT_EQ(cal.stats().entries, 0u);
 }
 
 TEST(Calibrator, PrecalibrateComposesWithSaveLoad) {
@@ -484,9 +519,9 @@ TEST(Calibrator, PrecalibrateComposesWithSaveLoad) {
 
     Calibrator served{config};
     served.load_cache(path);
-    EXPECT_EQ(served.cache_size(), warm.cache_size());
+    EXPECT_EQ(served.stats().entries, warm.stats().entries);
     EXPECT_EQ(served.threshold(40, 10, 0.9), warm.threshold(40, 10, 0.9));
-    EXPECT_EQ(served.compute_count(), 0u);  // never ran Monte-Carlo
+    EXPECT_EQ(served.stats().misses, 0u);  // never ran Monte-Carlo
     std::remove(path.c_str());
 }
 
@@ -540,7 +575,7 @@ TEST(Calibrator, LoadRejectsInvalidKeysWithLineNumbers) {
             EXPECT_NE(std::string{error.what()}.find("line 2"), std::string::npos)
                 << "no line number for " << test_case.reason << ": " << error.what();
         }
-        EXPECT_EQ(cal.cache_size(), 0u) << test_case.reason;
+        EXPECT_EQ(cal.stats().entries, 0u) << test_case.reason;
         std::remove(path.c_str());
     }
 }

@@ -10,6 +10,8 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace hpr::stats {
 namespace {
 
@@ -140,6 +142,22 @@ TEST(ReferenceModelCache, StatsLookupsAddUp) {
     const auto stats = cache.stats();
     EXPECT_EQ(stats.hits + stats.misses + stats.single_flight_joins, lookups);
     EXPECT_EQ(stats.in_flight, 0u);
+}
+
+TEST(ReferenceModelCache, DestructionReturnsItsEntriesToTheGauge) {
+    // The gauge is summed over live caches; a dedicated cache (a
+    // BehaviorTestConfig::reference_cache) must not inflate it after it
+    // is gone.
+    const obs::Gauge& gauge = obs::default_registry().gauge("hpr_refmodel_cache_entries");
+    const std::int64_t before = gauge.value();
+    {
+        ReferenceModelCache cache{8};
+        for (std::uint64_t good = 1; good <= 5; ++good) {
+            (void)cache.reference(10, good, 101);
+        }
+        EXPECT_EQ(gauge.value(), before + 5);
+    }
+    EXPECT_EQ(gauge.value(), before);
 }
 
 TEST(ReferenceModelCache, ProcessWideIsASingleton) {
