@@ -8,6 +8,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/changepoint.h"
@@ -226,6 +227,40 @@ BENCHMARK(BM_CalibrationSingleFlight)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+void BM_CalibratorThresholdHit(benchmark::State& state) {
+    // The per-stage threshold lookup of a serving suffix ladder against a
+    // warm calibrator: one iteration is one call, cycling through the 31
+    // (k, p̂) stages of a horizon-64, m = 10, step-2 ladder over an honest
+    // history at the Bonferroni-corrected confidence.  Every call is a
+    // cache hit; what is left is key bucketing plus the quantile read.
+    constexpr std::uint32_t kWindowSize = 10;
+    constexpr std::size_t kHorizon = 64;
+    constexpr std::size_t kMinWindows = 3;
+    constexpr std::size_t kStep = 2;
+    const auto outcomes = outcomes_of(kHorizon * kWindowSize);
+    std::vector<std::pair<std::size_t, double>> ladder;
+    for (std::size_t k = kHorizon; k >= kMinWindows; k -= kStep) {
+        std::size_t good = 0;
+        for (std::size_t i = outcomes.size() - k * kWindowSize; i < outcomes.size(); ++i) {
+            good += outcomes[i];
+        }
+        ladder.emplace_back(k, static_cast<double>(good) /
+                                   static_cast<double>(k * kWindowSize));
+    }
+    const double confidence = 1.0 - 0.05 / static_cast<double>(ladder.size());
+    auto& calibrator = *shared_cal();
+    for (const auto& [k, p_hat] : ladder) {
+        (void)calibrator.threshold(k, kWindowSize, p_hat, confidence);  // warm
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto& [k, p_hat] = ladder[i];
+        benchmark::DoNotOptimize(calibrator.threshold(k, kWindowSize, p_hat, confidence));
+        if (++i == ladder.size()) i = 0;
+    }
+}
+BENCHMARK(BM_CalibratorThresholdHit);
 
 void BM_ReorderByIssuer(benchmark::State& state) {
     const auto history = history_of(static_cast<std::size_t>(state.range(0)), 64);

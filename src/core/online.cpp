@@ -122,6 +122,7 @@ void OnlineScreener::evaluate() {
     std::size_t added = 0;
     {
         obs::TraceSpan ladder{"phase1/ladder"};
+        if (obs::DecisionRecord* record = trace.record()) record->stages.reserve(stages);
         for (std::size_t stage = 0; stage < stages; ++stage) {
             const std::size_t want = total - (stages - 1 - stage) * step_windows_;
             while (added < want) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -87,6 +88,22 @@ Calibrator::Calibrator(CalibrationConfig config)
     if (!(config_.windows_grid_ratio >= 1.0)) {
         throw std::invalid_argument("Calibrator: windows_grid_ratio must be >= 1");
     }
+    if (config_.windows_grid_ratio > 1.0) {
+        // The deterministic integer grid 1, 2, 3, ... with ~ratio spacing,
+        // up to windows_cap.  Its size grows with log(windows_cap), so even
+        // a huge cap stays a short table.
+        const std::size_t cap = config_.windows_cap;
+        for (std::size_t point = 1;;) {
+            window_grid_.push_back(point);
+            const double scaled =
+                std::floor(static_cast<double>(point) * config_.windows_grid_ratio);
+            // Compared as doubles first so the conversion cannot overflow.
+            if (scaled > static_cast<double>(cap) || scaled >= 0x1p64) break;
+            const std::size_t next = std::max(point + 1, static_cast<std::size_t>(scaled));
+            if (next > cap) break;
+            point = next;
+        }
+    }
 }
 
 std::size_t Calibrator::threads() const noexcept {
@@ -104,22 +121,12 @@ ThreadPool& Calibrator::pool() const {
 }
 
 std::size_t Calibrator::effective_windows(std::size_t windows) const {
-    std::size_t k = std::min(windows, config_.windows_cap);
-    if (config_.windows_grid_ratio > 1.0) {
-        // Walk the deterministic integer grid 1, 2, 3, ... with ~ratio
-        // spacing and keep the largest point <= k (conservative: smaller
-        // k means a larger calibrated threshold).
-        std::size_t point = 1;
-        std::size_t best = 1;
-        while (point <= k) {
-            best = point;
-            const auto next = static_cast<std::size_t>(
-                std::floor(static_cast<double>(point) * config_.windows_grid_ratio));
-            point = std::max(point + 1, next);
-        }
-        k = best;
-    }
-    return k;
+    const std::size_t k = std::min(windows, config_.windows_cap);
+    if (window_grid_.empty()) return k;  // ratio 1.0: exact per-k calibration
+    // The largest grid point <= k (conservative: smaller k means a larger
+    // calibrated threshold).
+    const auto above = std::upper_bound(window_grid_.begin(), window_grid_.end(), k);
+    return above == window_grid_.begin() ? window_grid_.front() : *std::prev(above);
 }
 
 Calibrator::Key Calibrator::make_key(std::size_t windows, std::uint32_t m,

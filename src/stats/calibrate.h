@@ -39,6 +39,9 @@
 ///  * the window count k is capped at windows_cap and rounded *down* onto
 ///    a geometric grid (ratio windows_grid_ratio).  The null distance
 ///    shrinks as k grows, so evaluating at a smaller k over-estimates ε.
+///    The constructor precomputes the grid's points (51 for the defaults;
+///    the count grows with log(windows_cap)), so bucketing a k is one
+///    binary search rather than a walk up the grid.
 /// This is what makes repeated screening of growing histories O(1)
 /// amortized — the enabler of the O(n) multi-test timing of §5.5 / Fig. 9.
 
@@ -174,6 +177,9 @@ private:
     [[nodiscard]] ThreadPool& pool() const;
 
     CalibrationConfig config_;
+    /// Sorted points of the geometric window grid up to windows_cap,
+    /// built by the constructor (empty when windows_grid_ratio is 1.0).
+    std::vector<std::size_t> window_grid_;
     SingleFlightCache<Key, std::vector<double>, KeyHash> cache_;
     mutable std::once_flag pool_once_;
     mutable std::unique_ptr<ThreadPool> pool_;

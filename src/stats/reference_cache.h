@@ -36,11 +36,15 @@ namespace hpr::stats {
 /// by (m, p̂ as an exact reduced rational).
 class ReferenceModelCache {
 public:
-    /// Default resident-model bound.  A key is (m, reduced p̂); a serving
-    /// deployment with one window size touches roughly one key per
-    /// distinct (good, total) pair its suffix ladders produce, so a few
-    /// thousand entries cover steady state with room to spare.
-    static constexpr std::size_t kDefaultCapacity = 4096;
+    /// Default resident-model bound.  A key is (m, reduced p̂), and a
+    /// suffix ladder touches one key per distinct reduced (good, total)
+    /// pair it produces.  A horizon-64, m = 10 serving ladder has 12,601
+    /// such keys over all p̂, and the Fig. 9 ladders over 50k- and
+    /// 200k-transaction histories together touch ~11.9k, so the bound
+    /// holds either working set without evicting.  An m = 10 entry costs
+    /// about 470 B of heap, so a full cache is ~7.7 MB (docs/scaling.md,
+    /// "Eviction policy").
+    static constexpr std::size_t kDefaultCapacity = 16384;
 
     /// \param capacity  maximum resident entries (minimum 1).
     explicit ReferenceModelCache(std::size_t capacity = kDefaultCapacity);

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+#include <utility>
+
 #include "sim/generators.h"
+#include "stats/reference_cache.h"
 
 namespace hpr::core {
 namespace {
@@ -25,6 +30,44 @@ TEST(MultiTestConfigTest, EffectiveStepDefaultsAndAligns) {
     config.base.window_size = 7;
     config.step = 0;
     EXPECT_EQ(config.effective_step(), 14u);
+}
+
+// The Fig. 9 O(n) claim needs every ladder lookup to hit the reference
+// cache once warm: a ladder whose distinct keys outnumber the capacity
+// evicts on every pass and a miss costs several hits.  Counted, not timed.
+TEST(MultiTest, Fig9LaddersFitTheDefaultReferenceCache) {
+    auto cache = std::make_shared<stats::ReferenceModelCache>(
+        stats::ReferenceModelCache::kDefaultCapacity);
+    MultiTestConfig config;
+    config.stop_on_failure = false;
+    config.base.reference_cache = cache;
+    const MultiTest tester{config, shared_cal()};
+    stats::Rng rng{45000};
+    const auto small = sim::honest_outcomes(50000, 0.9, rng);
+    const auto large = sim::honest_outcomes(200000, 0.9, rng);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto* outcomes : {&small, &large}) {
+            (void)tester.test(std::span<const std::uint8_t>{*outcomes});
+        }
+    }
+    EXPECT_EQ(cache->stats().evictions, 0u);
+}
+
+// Every reduced (good, total) key a horizon-64, m = 10 serving ladder can
+// produce fits the default capacity.
+TEST(MultiTest, ServingLadderKeySetFitsTheDefaultReferenceCache) {
+    constexpr std::uint64_t kWindowSize = 10;
+    constexpr std::uint64_t kHorizonWindows = 64;
+    std::set<std::pair<std::uint64_t, std::uint64_t>> keys;
+    for (std::uint64_t k = 1; k <= kHorizonWindows; ++k) {
+        const std::uint64_t total = k * kWindowSize;
+        for (std::uint64_t good = 0; good <= total; ++good) {
+            const std::uint64_t g = std::gcd(good, total);
+            keys.emplace(good / g, total / g);
+        }
+    }
+    EXPECT_EQ(keys.size(), 12601u);
+    EXPECT_LE(keys.size(), stats::ReferenceModelCache::kDefaultCapacity);
 }
 
 TEST(MultiTest, ShortHistoryIsInsufficient) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -140,6 +142,64 @@ TEST(Calibrator, EffectiveWindowsGridIsMonotoneAndConservative) {
                       static_cast<double>(k));
         }
         prev = bucket;
+    }
+}
+
+/// The grid walk effective_windows() replaced, kept as its oracle: the
+/// largest point <= min(k, cap) of the integer grid 1, 2, 3, ... with
+/// ~ratio spacing.
+std::size_t walked_effective_windows(std::size_t windows, std::size_t cap, double ratio) {
+    std::size_t k = std::min(windows, cap);
+    if (ratio > 1.0) {
+        std::size_t point = 1;
+        std::size_t best = 1;
+        while (point <= k) {
+            best = point;
+            const auto next =
+                static_cast<std::size_t>(std::floor(static_cast<double>(point) * ratio));
+            point = std::max(point + 1, next);
+        }
+        k = best;
+    }
+    return k;
+}
+
+TEST(Calibrator, EffectiveWindowsMatchesGridWalk) {
+    for (const double ratio : {1.0, 1.05, 1.15, 1.5, 2.0, 3.7}) {
+        for (const std::size_t cap : {1, 2, 7, 64, 100, 2048}) {
+            CalibrationConfig config;
+            config.windows_grid_ratio = ratio;
+            config.windows_cap = cap;
+            const Calibrator cal{config};
+            for (std::size_t k = 1; k <= cap + 50; ++k) {
+                ASSERT_EQ(cal.effective_windows(k), walked_effective_windows(k, cap, ratio))
+                    << "ratio " << ratio << " cap " << cap << " k " << k;
+            }
+        }
+    }
+}
+
+TEST(Calibrator, DefaultWindowGridHas51Points) {
+    const Calibrator cal;
+    std::set<std::size_t> points;
+    for (std::size_t k = 1; k <= cal.config().windows_cap; ++k) {
+        points.insert(cal.effective_windows(k));
+    }
+    EXPECT_EQ(points.size(), 51u);
+}
+
+TEST(Calibrator, HugeWindowsCapKeepsTheGridSmall) {
+    // A dense windows_cap + 1 table would need 8 TiB here; the grid has a
+    // few hundred points.
+    CalibrationConfig config;
+    config.windows_cap = std::size_t{1} << 40;
+    const Calibrator cal{config};
+    for (const std::size_t k : {std::size_t{1}, std::size_t{12345678},
+                                (std::size_t{1} << 40) - 1, std::size_t{1} << 40,
+                                (std::size_t{1} << 40) + 5}) {
+        EXPECT_EQ(cal.effective_windows(k),
+                  walked_effective_windows(k, config.windows_cap, config.windows_grid_ratio))
+            << "k " << k;
     }
 }
 
