@@ -22,14 +22,14 @@
 //
 // Lines that do not parse as DecisionRecords (the workload's own output,
 // metric dumps) are skipped, so piping the server's full stdout works.
-// Exits 0 when at least one record matched, 1 otherwise.
+// Exits 0 when at least one record matched, 1 otherwise, and 2 (after
+// printing usage) on a malformed flag such as `--limit=-1`.
 //
 // Exercises: obs::from_jsonl / obs::to_jsonl, obs::DecisionRecord,
 // net::http_get.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,6 +37,7 @@
 #include <sstream>
 #include <string>
 
+#include "flags.h"
 #include "net/http_client.h"
 #include "obs/trace.h"
 
@@ -81,11 +82,8 @@ int usage(const char* argv0) {
 bool parse_url(const char* spec, Query& query) {
     const char* colon = std::strrchr(spec, ':');
     if (colon == nullptr || colon == spec) return false;
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(colon + 1, &end, 10);
-    if (end == colon + 1 || *end != '\0' || port == 0 || port > 65535) {
-        return false;
-    }
+    std::size_t port = 0;
+    if (!parse_flag_size(colon + 1, 1, port) || port > 65535) return false;
     query.url_host.assign(spec, static_cast<std::size_t>(colon - spec));
     query.url_port = static_cast<std::uint16_t>(port);
     return true;
@@ -105,9 +103,8 @@ bool parse_args(int argc, char** argv, Query& query) {
             return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
         };
         if (const char* server = value_of("--server=")) {
-            char* end = nullptr;
-            const unsigned long long id = std::strtoull(server, &end, 10);
-            if (end == server || *end != '\0') return false;
+            std::size_t id = 0;
+            if (!parse_flag_size(server, 0, id)) return false;
             query.server = id;
         } else if (const char* verdict = value_of("--verdict=")) {
             query.verdict = verdict;
@@ -116,14 +113,12 @@ bool parse_args(int argc, char** argv, Query& query) {
         } else if (std::strcmp(arg, "--failing") == 0) {
             query.failing_only = true;
         } else if (const char* margin = value_of("--margin-below=")) {
-            char* end = nullptr;
-            const double x = std::strtod(margin, &end);
-            if (end == margin || *end != '\0') return false;
+            double x = 0.0;
+            if (!parse_flag_double(margin, x)) return false;
             query.margin_below = x;
         } else if (const char* limit = value_of("--limit=")) {
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(limit, &end, 10);
-            if (end == limit || *end != '\0') return false;
+            std::size_t n = 0;
+            if (!parse_flag_size(limit, 0, n)) return false;
             query.limit = n;
         } else if (std::strcmp(arg, "--jsonl") == 0) {
             query.raw_jsonl = true;

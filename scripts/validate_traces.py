@@ -9,6 +9,9 @@ docs/observability.md, and fails loudly on drift:
   * required keys present with the right types and sane values
     (distances finite and within the L1 range, p-hat a probability,
     windows consistent with the suffix length);
+  * a line that starts like a record (`{"trace_id"`) but is not valid
+    JSON — e.g. a non-finite double printed as `inf` — is an error, not
+    skipped output;
   * no unknown top-level keys — the emitter and the docs must move
     together;
   * epsilon consistent with the calibration grid: within one record two
@@ -234,8 +237,13 @@ def main():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # the workload's own JSON (metrics dump)
+                except json.JSONDecodeError as exc:
+                    # obs::to_jsonl opens every record with its trace_id;
+                    # other unparseable lines are the workload's own output.
+                    if line.startswith('{"trace_id"'):
+                        records += 1
+                        validator.error(line_no, f"decision record is not valid JSON ({exc})")
+                    continue
                 if not isinstance(obj, dict) or "trace_id" not in obj:
                     continue
                 records += 1

@@ -1,28 +1,13 @@
 #include "core/multi_test.h"
 
 #include <limits>
-#include <stdexcept>
-
-#include "core/scratch.h"
-#include "obs/trace.h"
 
 namespace hpr::core {
 namespace {
 
-/// Append evidence of one ladder stage to the active trace, if any.
-void trace_stage(obs::TraceContext* trace, const BehaviorTestResult& result,
-                 std::size_t suffix_length) {
-    if (trace == nullptr) return;
-    obs::StageEvidence evidence;
-    evidence.suffix_length = suffix_length;
-    evidence.windows = result.windows;
-    evidence.p_hat = result.p_hat;
-    evidence.distance = result.distance;
-    evidence.epsilon = result.threshold;
-    evidence.sufficient = result.sufficient;
-    evidence.passed = result.passed;
-    trace->record()->stages.push_back(evidence);
-}
+// test_naive's own stage count, confidence and finalize: the reference
+// shares no bookkeeping with run_ladder, so a bug in one shows up as a
+// disagreement with the other.
 
 /// Number of suffix stages for a history of n transactions: suffix
 /// lengths n, n-step, ... while at least min_windows complete windows
@@ -49,7 +34,38 @@ void finalize(MultiTestResult& result) {
     }
 }
 
+/// run_ladder over a sequence whose windows are anchored at its newest
+/// end: window w covers [n - (w+1)m, n - w*m), and the n % m oldest
+/// transactions lie outside every window.
+template <typename T, typename IsGood>
+MultiTestResult ladder_over(const BehaviorTest& single, const MultiTestConfig& config,
+                            std::span<const T> seq, IsGood is_good) {
+    const std::uint32_t m = config.base.window_size;
+    const std::size_t n = seq.size();
+    return run_ladder(single, config, n / m, n % m, [&](std::size_t w) {
+        const std::size_t end = n - w * m;
+        std::uint32_t good = 0;
+        for (std::size_t i = end - m; i < end; ++i) {
+            if (is_good(seq[i])) ++good;
+        }
+        return good;
+    });
+}
+
 }  // namespace
+
+obs::StageEvidence to_evidence(const BehaviorTestResult& result,
+                               std::size_t suffix_length) {
+    obs::StageEvidence evidence;
+    evidence.suffix_length = suffix_length;
+    evidence.windows = result.windows;
+    evidence.p_hat = result.p_hat;
+    evidence.distance = result.distance;
+    evidence.epsilon = result.threshold;
+    evidence.sufficient = result.sufficient;
+    evidence.passed = result.passed;
+    return evidence;
+}
 
 MultiTest::MultiTest(MultiTestConfig config,
                      std::shared_ptr<stats::Calibrator> calibrator)
@@ -57,87 +73,13 @@ MultiTest::MultiTest(MultiTestConfig config,
     config_.step = config_.effective_step();
 }
 
-template <typename Sequence, typename IsGood>
-MultiTestResult MultiTest::test_incremental(const Sequence& seq, IsGood is_good) const {
-    const std::uint32_t m = config_.base.window_size;
-    const std::size_t n = seq.size();
-    const std::size_t step = config_.step;
-    const std::size_t stages = stage_count(n, step, m, config_.base.min_windows);
-
-    MultiTestResult result;
-    result.min_margin = std::numeric_limits<double>::infinity();
-    if (stages == 0) {
-        finalize(result);
-        return result;
-    }
-    result.sufficient = true;
-
-    // Windows are anchored at the newest end of the full sequence; window
-    // w covers [n - (w+1)m, n - w*m).  The suffix of length L contains
-    // exactly floor(L/m) of these windows, so suffixes share windows and
-    // the statistics accumulate incrementally from shortest to longest.
-    const auto windows_of = [&](std::size_t stage) {
-        // stage 0 = shortest suffix, stage stages-1 = full history.
-        const std::size_t suffix_len = n - (stages - 1 - stage) * step;
-        return suffix_len / m;
-    };
-
-    // This loop is the outermost ladder on this thread, so it owns the
-    // thread-local ladder slot (core/scratch.h); the single test below
-    // only borrows the histogram and never touches the arena itself.
-    stats::EmpiricalDistribution& counts = assessment_scratch().ladder_counts;
-    counts.reset(m);
-    std::size_t added_windows = 0;
-    const auto add_windows_upto = [&](std::size_t target) {
-        while (added_windows < target) {
-            const std::size_t w = added_windows;  // 0 = newest window
-            const std::size_t begin = n - (w + 1) * m;
-            std::uint32_t good = 0;
-            for (std::size_t i = begin; i < begin + m; ++i) {
-                if (is_good(seq[i])) ++good;
-            }
-            counts.add(good);
-            ++added_windows;
-        }
-    };
-
-    obs::TraceSpan ladder{"phase1/ladder"};
-    obs::TraceContext* trace = obs::TraceContext::current();
-    const bool span_stages = trace != nullptr && trace->span_stages();
-    if (trace != nullptr) trace->record()->stages.reserve(stages);
-    if (config_.collect_details) result.details.reserve(stages);
-
-    const double confidence = stage_confidence(config_, stages);
-    for (std::size_t stage = 0; stage < stages; ++stage) {
-        obs::TraceSpan stage_span{"phase1/stage", span_stages};
-        add_windows_upto(windows_of(stage));
-        const BehaviorTestResult stage_result = single_.test(counts, confidence);
-        trace_stage(trace, stage_result, n - (stages - 1 - stage) * step);
-        ++result.stages_run;
-        if (stage_result.sufficient && stage_result.margin() < result.min_margin) {
-            result.min_margin = stage_result.margin();
-        }
-        if (config_.collect_details) result.details.push_back(stage_result);
-        if (!stage_result.passed) {
-            result.passed = false;
-            if (!result.failed_suffix_length) {
-                result.failed_suffix_length = n - (stages - 1 - stage) * step;
-                result.failure = stage_result;
-            }
-            if (config_.stop_on_failure) break;
-        }
-    }
-    finalize(result);
-    return result;
-}
-
 MultiTestResult MultiTest::test(std::span<const repsys::Feedback> feedbacks) const {
-    return test_incremental(feedbacks,
-                            [](const repsys::Feedback& f) { return f.good(); });
+    return ladder_over(single_, config_, feedbacks,
+                       [](const repsys::Feedback& f) { return f.good(); });
 }
 
 MultiTestResult MultiTest::test(std::span<const std::uint8_t> outcomes) const {
-    return test_incremental(outcomes, [](std::uint8_t o) { return o != 0; });
+    return ladder_over(single_, config_, outcomes, [](std::uint8_t o) { return o != 0; });
 }
 
 template <typename Subspan>
@@ -165,7 +107,9 @@ MultiTestResult MultiTest::test_naive_impl(std::size_t n, Subspan suffix) const 
         const std::size_t suffix_len = n - (stages - 1 - stage) * step;
         const BehaviorTestResult stage_result = single_.test(
             compute_window_stats(suffix(suffix_len), m).distribution(), confidence);
-        trace_stage(trace, stage_result, suffix_len);
+        if (trace != nullptr) {
+            trace->record()->stages.push_back(to_evidence(stage_result, suffix_len));
+        }
         ++result.stages_run;
         if (stage_result.sufficient && stage_result.margin() < result.min_margin) {
             result.min_margin = stage_result.margin();

@@ -1,9 +1,8 @@
 #include "core/online.h"
 
-#include <limits>
 #include <stdexcept>
 
-#include "core/scratch.h"
+#include "core/multi_test.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -46,8 +45,7 @@ OnlineScreener::OnlineScreener(OnlineScreenerConfig config,
                                std::shared_ptr<stats::Calibrator> calibrator)
     : config_(config),
       single_(config.test.base,
-              calibrator ? std::move(calibrator) : make_calibrator(config.test.base)),
-      step_windows_(config.test.effective_step() / config.test.base.window_size) {
+              calibrator ? std::move(calibrator) : make_calibrator(config.test.base)) {
     if (config_.patience == 0 || config_.recovery == 0) {
         throw std::invalid_argument(
             "OnlineScreener: patience and recovery must be positive");
@@ -92,71 +90,25 @@ void OnlineScreener::observe(bool good) {
 
 void OnlineScreener::evaluate() {
     obs::TraceContext trace{obs::default_tracer(), entity_, "online_screener"};
-    const std::uint32_t m = config_.test.base.window_size;
     if (obs::DecisionRecord* record = trace.record()) {
         record->mode = "multi";
-        record->window_size = m;
+        record->window_size = config_.test.base.window_size;
         record->history_length = transactions_;
         record->p_hat = p_hat();
     }
 
-    // The §3.3 suffix ladder over the retained windows: suffixes of
-    // k, k - step, k - 2*step, ... windows, newest-suffix first.  With a
-    // retention horizon k is capped at max_windows, so this loop — the
-    // whole per-window cost — is bounded regardless of stream age.
-    const std::size_t total = retained_;
-    const std::size_t min_windows = config_.test.base.min_windows;
-    const std::size_t stages = (total - min_windows) / step_windows_ + 1;
-    const double confidence =
-        config_.test.bonferroni
-            ? 1.0 - (1.0 - config_.test.base.confidence) / static_cast<double>(stages)
-            : 0.0;
-
-    bool all_passed = true;
-    double min_margin = std::numeric_limits<double>::infinity();
-    bool any_sufficient = false;
-    // Outermost ladder on this thread — it owns the thread-local ladder
-    // slot (core/scratch.h), reset per evaluation instead of reallocated.
-    stats::EmpiricalDistribution& counts = assessment_scratch().ladder_counts;
-    counts.reset(m);
-    std::size_t added = 0;
-    {
-        obs::TraceSpan ladder{"phase1/ladder"};
-        if (obs::DecisionRecord* record = trace.record()) record->stages.reserve(stages);
-        for (std::size_t stage = 0; stage < stages; ++stage) {
-            const std::size_t want = total - (stages - 1 - stage) * step_windows_;
-            while (added < want) {
-                counts.add(good_count_from_newest(added));
-                ++added;
-            }
-            const BehaviorTestResult result = single_.test(counts, confidence);
-            if (obs::DecisionRecord* record = trace.record()) {
-                obs::StageEvidence evidence;
-                evidence.suffix_length = want * m;
-                evidence.windows = result.windows;
-                evidence.p_hat = result.p_hat;
-                evidence.distance = result.distance;
-                evidence.epsilon = result.threshold;
-                evidence.sufficient = result.sufficient;
-                evidence.passed = result.passed;
-                record->stages.push_back(evidence);
-                if (!result.passed && !record->failed) record->failed = evidence;
-            }
-            if (result.sufficient) {
-                any_sufficient = true;
-                if (result.margin() < min_margin) min_margin = result.margin();
-            }
-            if (!result.passed) {
-                all_passed = false;
-                if (config_.test.stop_on_failure) break;
-            }
-        }
-    }
+    // The §3.3 suffix ladder over the retained windows, shortest suffix
+    // first.  With a retention horizon the deepest stage is capped at
+    // max_windows, so this — the whole per-window cost — is bounded
+    // regardless of stream age.
+    const MultiTestResult result =
+        run_ladder(single_, config_.test, retained_, 0,
+                   [this](std::size_t back) { return good_count_from_newest(back); });
 
     ++evaluations_;
     screener_metrics().evaluations.increment();
-    last_evaluation_passed_ = all_passed;
-    if (all_passed) {
+    last_evaluation_passed_ = result.passed;
+    if (result.passed) {
         ++passing_streak_;
         failing_streak_ = 0;
     } else {
@@ -170,7 +122,7 @@ void OnlineScreener::evaluate() {
             // Deliberately asymmetric (see the file comment): one passing
             // evaluation confirms the honest prior, while flagging a
             // never-judged stream still takes `patience` failures.
-            if (all_passed) {
+            if (result.passed) {
                 state_ = StreamState::kClear;
             } else if (failing_streak_ >= config_.patience) {
                 state_ = StreamState::kSuspicious;
@@ -193,7 +145,10 @@ void OnlineScreener::evaluate() {
     }
     if (obs::DecisionRecord* record = trace.record()) {
         record->verdict = to_string(state_);
-        if (any_sufficient) record->min_margin = min_margin;
+        if (result.sufficient) record->min_margin = result.min_margin;
+        if (result.failure) {
+            record->failed = to_evidence(*result.failure, *result.failed_suffix_length);
+        }
         if (state_ != before) {
             record->transition =
                 state_ == StreamState::kSuspicious ? "flagged" : "recovered";

@@ -9,7 +9,11 @@
 /// monitoring thousands of live feedback streams.  OnlineScreener is the
 /// streaming form: feed outcomes one at a time; window statistics update
 /// in O(1), and the suffix ladder of §3.3 is re-evaluated only when a
-/// window completes (every m feedbacks).
+/// window completes (every m feedbacks).  The ladder is the batch
+/// tester's own core::run_ladder (multi_test.h), run over the retained
+/// window ring, so streaming and batch share one stage count, one
+/// Bonferroni correction and one trace-evidence fill; MultiTest's
+/// test_naive stays the independent reference both are checked against.
 ///
 /// **Retention horizon.**  With `max_windows = H > 0` the screener keeps
 /// only the newest H complete windows' good-counts in a fixed-capacity
@@ -153,7 +157,6 @@ private:
     OnlineScreenerConfig config_;
     repsys::EntityId entity_ = 0;
     BehaviorTest single_;
-    std::size_t step_windows_;  ///< suffix step in windows
 
     /// Retained window good-counts.  Unbounded: append-only, oldest
     /// first.  Bounded: a ring of capacity max_windows whose oldest

@@ -15,8 +15,8 @@
 /// Ownership rules (who may reset which slot):
 ///
 ///  * `ladder_counts` belongs to the outermost suffix-ladder loop on the
-///    calling thread — MultiTest::test_incremental or
-///    OnlineScreener::evaluate.  Those loops hand the slot to
+///    calling thread — core::run_ladder (multi_test.h), which both
+///    MultiTest::test and OnlineScreener::evaluate run.  It hands the slot to
 ///    BehaviorTest::test(counts, confidence) as a borrowed const
 ///    reference; the single test never resets or writes any slot a
 ///    ladder may own.

@@ -48,20 +48,6 @@ void count_verdict(Verdict verdict) {
     }
 }
 
-/// Trace evidence for one behavior-test evaluation.
-obs::StageEvidence to_evidence(const BehaviorTestResult& result,
-                               std::size_t suffix_length) {
-    obs::StageEvidence evidence;
-    evidence.suffix_length = suffix_length;
-    evidence.windows = result.windows;
-    evidence.p_hat = result.p_hat;
-    evidence.distance = result.distance;
-    evidence.epsilon = result.threshold;
-    evidence.sufficient = result.sufficient;
-    evidence.passed = result.passed;
-    return evidence;
-}
-
 /// Fill the trace record from a finished assessment (only sampled
 /// assessments reach here, so the extra field copies are off the common
 /// path).

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "obs/export.h"
@@ -208,22 +210,22 @@ public:
     }
 
     bool parse_number(double& out) {
-        skip_ws();
-        const std::size_t begin = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-                c == 'e' || c == 'E') {
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (pos_ == begin) return false;
-        const std::string token{text_.substr(begin, pos_ - begin)};
+        const std::string token{number_token()};
+        if (token.empty()) return false;
         char* end = nullptr;
         out = std::strtod(token.c_str(), &end);
         return end == token.c_str() + token.size();
+    }
+
+    /// An integer field: the whole number token must be plain decimal
+    /// digits that fit `Unsigned` — a sign, fraction, exponent or
+    /// overflow is malformed input, never a rounded or truncated value.
+    template <typename Unsigned>
+    bool parse_integer(Unsigned& out) {
+        const std::string_view token = number_token();
+        const char* last = token.data() + token.size();
+        const auto [end, error] = std::from_chars(token.data(), last, out);
+        return error == std::errc{} && end == last;
     }
 
     bool parse_bool(bool& out) {
@@ -294,6 +296,23 @@ public:
     }
 
 private:
+    /// Consume the characters a JSON number may contain; empty when no
+    /// number starts here.
+    std::string_view number_token() {
+        skip_ws();
+        const std::size_t begin = pos_;
+        while (pos_ < text_.size()) {
+            const char c = text_[pos_];
+            if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+                c == 'e' || c == 'E') {
+                ++pos_;
+            } else {
+                break;
+            }
+        }
+        return text_.substr(begin, pos_ - begin);
+    }
+
     void skip_ws() {
         while (pos_ < text_.size() &&
                std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
@@ -321,17 +340,10 @@ private:
     std::size_t pos_ = 0;
 };
 
-bool parse_u64(JsonCursor& cursor, std::uint64_t& out) {
-    double value = 0.0;
-    if (!cursor.parse_number(value) || value < 0.0) return false;
-    out = static_cast<std::uint64_t>(value);
-    return true;
-}
-
 bool parse_stage(JsonCursor& cursor, StageEvidence& stage) {
     return cursor.parse_object([&](const std::string& key) {
-        if (key == "suffix_length") return parse_u64(cursor, stage.suffix_length);
-        if (key == "windows") return parse_u64(cursor, stage.windows);
+        if (key == "suffix_length") return cursor.parse_integer(stage.suffix_length);
+        if (key == "windows") return cursor.parse_integer(stage.windows);
         if (key == "p_hat") return cursor.parse_number(stage.p_hat);
         if (key == "distance") return cursor.parse_number(stage.distance);
         if (key == "epsilon") return cursor.parse_number(stage.epsilon);
@@ -347,9 +359,9 @@ bool from_jsonl(std::string_view line, DecisionRecord& out) {
     out = DecisionRecord{};
     JsonCursor cursor{line};
     const bool parsed = cursor.parse_object([&](const std::string& key) {
-        if (key == "trace_id") return parse_u64(cursor, out.trace_id);
+        if (key == "trace_id") return cursor.parse_integer(out.trace_id);
         if (key == "source") return cursor.parse_string(out.source);
-        if (key == "server") return parse_u64(cursor, out.server);
+        if (key == "server") return cursor.parse_integer(out.server);
         if (key == "wall_time") return cursor.parse_number(out.wall_time);
         if (key == "verdict") return cursor.parse_string(out.verdict);
         if (key == "transition") return cursor.parse_string(out.transition);
@@ -363,13 +375,8 @@ bool from_jsonl(std::string_view line, DecisionRecord& out) {
         if (key == "collusion_resilient") {
             return cursor.parse_bool(out.collusion_resilient);
         }
-        if (key == "window_size") {
-            std::uint64_t m = 0;
-            if (!parse_u64(cursor, m)) return false;
-            out.window_size = static_cast<std::uint32_t>(m);
-            return true;
-        }
-        if (key == "history_length") return parse_u64(cursor, out.history_length);
+        if (key == "window_size") return cursor.parse_integer(out.window_size);
+        if (key == "history_length") return cursor.parse_integer(out.history_length);
         if (key == "p_hat") return cursor.parse_number(out.p_hat);
         if (key == "min_margin") return cursor.parse_number(out.min_margin);
         if (key == "failed") {
@@ -381,9 +388,9 @@ bool from_jsonl(std::string_view line, DecisionRecord& out) {
         if (key == "reorder") {
             out.reorder.applied = true;
             return cursor.parse_object([&](const std::string& sub) {
-                if (sub == "issuers") return parse_u64(cursor, out.reorder.issuers);
+                if (sub == "issuers") return cursor.parse_integer(out.reorder.issuers);
                 if (sub == "largest_group") {
-                    return parse_u64(cursor, out.reorder.largest_group);
+                    return cursor.parse_integer(out.reorder.largest_group);
                 }
                 if (sub == "displaced_fraction") {
                     return cursor.parse_number(out.reorder.displaced_fraction);
@@ -415,12 +422,7 @@ bool from_jsonl(std::string_view line, DecisionRecord& out) {
                 SpanRecord span;
                 const bool ok = cursor.parse_object([&](const std::string& sub) {
                     if (sub == "name") return cursor.parse_string(span.name);
-                    if (sub == "depth") {
-                        std::uint64_t depth = 0;
-                        if (!parse_u64(cursor, depth)) return false;
-                        span.depth = static_cast<std::uint32_t>(depth);
-                        return true;
-                    }
+                    if (sub == "depth") return cursor.parse_integer(span.depth);
                     if (sub == "start") return cursor.parse_number(span.start_seconds);
                     if (sub == "duration") {
                         return cursor.parse_number(span.duration_seconds);

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/collusion.h"
+#include "core/multi_test.h"
 #include "core/online.h"
 #include "core/two_phase.h"
 #include "obs/metrics.h"
@@ -277,6 +280,35 @@ TEST(Jsonl, RejectsMalformedInput) {
     EXPECT_FALSE(from_jsonl("live monitoring after 1000 transactions", out));
 }
 
+TEST(Jsonl, RejectsNonIntegerAndOutOfRangeIntegers) {
+    DecisionRecord out;
+    // Integer fields are exact: 2^53 + 1 must not round through a double.
+    ASSERT_TRUE(from_jsonl(R"({"trace_id":9007199254740993,"window_size":4294967295})",
+                           out));
+    EXPECT_EQ(out.trace_id, 9007199254740993u);
+    EXPECT_EQ(out.window_size, 4294967295u);
+    ASSERT_TRUE(from_jsonl(R"({"trace_id":18446744073709551615})", out));
+    EXPECT_EQ(out.trace_id, 18446744073709551615u);
+
+    // A fraction, an exponent, a sign or an overflow is malformed, never
+    // a truncated or wrapped value.
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":1.5})", out));
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":1e30})", out));
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":1e2})", out));
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":-1})", out));
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":+1})", out));
+    EXPECT_FALSE(from_jsonl(R"({"trace_id":18446744073709551616})", out));
+    EXPECT_FALSE(from_jsonl(R"({"server":3.0})", out));
+    EXPECT_FALSE(from_jsonl(R"({"history_length":-0})", out));
+    EXPECT_FALSE(from_jsonl(R"({"failed":{"suffix_length":2.5}})", out));
+    EXPECT_FALSE(from_jsonl(R"({"stages":[{"windows":1e1}]})", out));
+    EXPECT_FALSE(from_jsonl(R"({"reorder":{"issuers":-3}})", out));
+
+    // 32-bit fields reject values above UINT32_MAX instead of truncating.
+    EXPECT_FALSE(from_jsonl(R"({"window_size":4294967306})", out));
+    EXPECT_FALSE(from_jsonl(R"({"spans":[{"name":"x","depth":4294967296}]})", out));
+}
+
 TEST(Jsonl, SkipsUnknownKeysForForwardCompatibility) {
     DecisionRecord out;
     ASSERT_TRUE(from_jsonl(
@@ -481,6 +513,73 @@ TEST(DecisionTrace, OnlineScreenerEmitsStreamRecords) {
         }
     }
     EXPECT_TRUE(saw_flagged) << "the flagging evaluation must leave a record";
+}
+
+TEST(DecisionTrace, OnlineRecordMatchesBatchLadderTraceBitForBit) {
+    const TracerGuard guard;
+
+    // An aligned stream inside the horizon: the screener's windows and the
+    // batch tester's coincide, so after every evaluation the streaming
+    // record must carry exactly the evidence MultiTest traces over the same
+    // outcomes — same stages, same shortest failing stage, same margin.
+    for (const bool bonferroni : {false, true}) {
+        SCOPED_TRACE(bonferroni ? "bonferroni" : "uncorrected");
+        core::OnlineScreenerConfig config;
+        config.test.base.replications = 400;
+        config.test.bonferroni = bonferroni;
+        config.max_windows = 64;
+        const auto calibrator = core::make_calibrator(config.test.base);
+        core::OnlineScreener screener{config, calibrator};
+        const core::MultiTest batch{config.test, calibrator};
+        const std::uint32_t m = config.test.base.window_size;
+
+        stats::Rng rng{29};
+        std::vector<std::uint8_t> outcomes;
+        std::size_t evaluations = 0;
+        std::size_t failing = 0;
+        while (outcomes.size() < 400) {
+            // honest warm-up, then a burst of cheating
+            const bool good = outcomes.size() < 250 && rng.bernoulli(0.95);
+            outcomes.push_back(good ? 1 : 0);
+            screener.observe(good);
+            if (outcomes.size() % m != 0 ||
+                outcomes.size() < config.test.base.min_windows * m) {
+                continue;
+            }
+            const auto online = default_tracer().ring().drain();
+            ASSERT_EQ(online.size(), 1u);
+
+            DecisionRecord traced;
+            core::MultiTestResult result;
+            {
+                TraceContext context{default_tracer(), 0, "batch"};
+                result = batch.test(std::span<const std::uint8_t>{outcomes});
+                traced = *context.record();
+            }
+            (void)default_tracer().ring().drain();
+
+            const DecisionRecord& record = online.front();
+            ASSERT_FALSE(traced.stages.empty());
+            EXPECT_EQ(record.stages, traced.stages) << "at " << outcomes.size();
+            std::optional<StageEvidence> first_failing;
+            for (const auto& stage : traced.stages) {
+                if (!stage.passed) {
+                    first_failing = stage;
+                    break;
+                }
+            }
+            EXPECT_EQ(record.failed, first_failing) << "at " << outcomes.size();
+            ASSERT_TRUE(result.sufficient);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(record.min_margin),
+                      std::bit_cast<std::uint64_t>(result.min_margin))
+                << "at " << outcomes.size();
+            ++evaluations;
+            if (first_failing) ++failing;
+        }
+        EXPECT_EQ(evaluations, 400 / m - config.test.base.min_windows + 1);
+        EXPECT_GT(failing, 0u) << "the cheating burst must fail some evaluations";
+        EXPECT_LT(failing, evaluations) << "the warm-up must pass some evaluations";
+    }
 }
 
 TEST(DecisionTrace, KillSwitchDisablesTracing) {
