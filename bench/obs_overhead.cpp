@@ -12,7 +12,7 @@
 //   metrics    — assess() with the metrics registry recording and the
 //                decision tracer inactive (the production default);
 //   +tracing   — assess() with metrics AND the decision tracer sampling
-//                every assessment (rate 1.0, per-stage spans off): the
+//                every assessment (rate 1.0): the
 //                full evidence record built and committed to the ring;
 //   disabled   — assess() with the global kill switch off (every metric
 //                and trace site reduced to a relaxed load + branch).
@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
 
     obs::Tracer& tracer = obs::default_tracer();
     tracer.set_sample_rate(1.0);
-    tracer.set_span_stages(false);
 
     const int rounds = quick ? 12 : 24;
     const int iterations = quick ? 4 : 8;

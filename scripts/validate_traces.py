@@ -67,7 +67,7 @@ VERDICTS = {"suspicious", "assessed", "insufficient-history", "clear", "insuffic
 MODES = {"none", "single", "multi"}
 TRANSITIONS = {"flagged", "recovered"}
 SPAN_NAMES = {
-    "phase1/screen", "phase1/ladder", "phase1/stage", "phase1/runs",
+    "phase1/screen", "phase1/ladder", "phase1/runs",
     "reorder", "phase2/trust", "calibrate/compute",
 }
 

@@ -98,12 +98,10 @@ MultiTestResult MultiTest::test_naive_impl(std::size_t n, Subspan suffix) const 
 
     obs::TraceSpan ladder{"phase1/ladder"};
     obs::TraceContext* trace = obs::TraceContext::current();
-    const bool span_stages = trace != nullptr && trace->span_stages();
     if (trace != nullptr) trace->record()->stages.reserve(stages);
 
     const double confidence = stage_confidence(config_, stages);
     for (std::size_t stage = 0; stage < stages; ++stage) {
-        obs::TraceSpan stage_span{"phase1/stage", span_stages};
         const std::size_t suffix_len = n - (stages - 1 - stage) * step;
         const BehaviorTestResult stage_result = single_.test(
             compute_window_stats(suffix(suffix_len), m).distribution(), confidence);

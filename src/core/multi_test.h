@@ -97,7 +97,6 @@ template <typename NewestGood>
 
     obs::TraceSpan ladder{"phase1/ladder"};
     obs::TraceContext* trace = obs::TraceContext::current();
-    const bool span_stages = trace != nullptr && trace->span_stages();
     if (trace != nullptr) trace->record()->stages.reserve(stages);
     if (config.collect_details) result.details.reserve(stages);
 
@@ -108,7 +107,6 @@ template <typename NewestGood>
             ? 1.0 - (1.0 - config.base.confidence) / static_cast<double>(stages)
             : 0.0;
     for (std::size_t stage = 0; stage < stages; ++stage) {
-        obs::TraceSpan stage_span{"phase1/stage", span_stages};
         const std::size_t want = windows - (stages - 1 - stage) * step;
         for (; added < want; ++added) counts.add(newest_good(added));
         const BehaviorTestResult stage_result = single.test(counts, confidence);

@@ -1,9 +1,8 @@
 #include "net/endpoints.h"
 
 #include <algorithm>
-#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "net/ingest.h"
 #include "obs/buildinfo.h"
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace hpr::net {
 
@@ -30,19 +30,6 @@ std::string format_double(double value) {
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.6g", value);
     return buffer;
-}
-
-/// Parse a non-negative integer parameter; false on garbage.
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' || text.front() == '-') {
-        return false;
-    }
-    out = static_cast<std::uint64_t>(value);
-    return true;
 }
 
 void append_kv(std::string& out, std::string_view key, std::string_view value) {
@@ -103,7 +90,7 @@ void register_traces(obs::IntrospectionTree& tree, obs::Tracer* tracer) {
                 tracer->ring().snapshot();
             if (const auto server = request.param("server")) {
                 std::uint64_t id = 0;
-                if (!parse_u64(*server, id)) {
+                if (!parse_decimal_u64(*server, id)) {
                     IntrospectionPage page;
                     page.status = 400;
                     page.body = "bad 'server' parameter: " + *server + "\n";
@@ -115,7 +102,7 @@ void register_traces(obs::IntrospectionTree& tree, obs::Tracer* tracer) {
             }
             if (const auto n = request.param("n")) {
                 std::uint64_t keep = 0;
-                if (!parse_u64(*n, keep)) {
+                if (!parse_decimal_u64(*n, keep)) {
                     IntrospectionPage page;
                     page.status = 400;
                     page.body = "bad 'n' parameter: " + *n + "\n";
@@ -171,7 +158,7 @@ void register_servers(obs::IntrospectionTree& tree,
                 const std::vector<repsys::EntityId> servers = store->servers();
                 std::uint64_t limit = servers.size();
                 if (const auto parameter = request.param("limit")) {
-                    if (!parse_u64(*parameter, limit)) {
+                    if (!parse_decimal_u64(*parameter, limit)) {
                         IntrospectionPage page;
                         page.status = 400;
                         page.body =
@@ -202,8 +189,8 @@ void register_servers(obs::IntrospectionTree& tree,
             // "/servers/<id>"
             std::uint64_t parsed = 0;
             if (request.path.size() < 10 ||
-                !parse_u64(request.path.substr(9), parsed) ||
-                parsed > std::numeric_limits<repsys::EntityId>::max()) {
+                !parse_decimal_u64(std::string_view{request.path}.substr(9), parsed,
+                                   std::numeric_limits<repsys::EntityId>::max())) {
                 IntrospectionPage page;
                 page.status = 404;
                 page.body = "not a server id: " + request.path + "\n";
@@ -268,50 +255,6 @@ void register_calibration(obs::IntrospectionTree& tree,
              });
 }
 
-/// Exact round-trip formatting for series timestamps and quantiles (the
-/// %.6g above is for human-facing pages; /timeseries is machine-facing).
-std::string format_double_exact(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.12g", value);
-    return buffer;
-}
-
-void append_series_point(std::string& out, const obs::SeriesPoint& point) {
-    out += "{\"seq\":";
-    out += std::to_string(point.sequence);
-    out += ",\"wall_time\":";
-    out += format_double_exact(point.wall_time);
-    out += ",\"interval\":";
-    out += format_double_exact(point.interval_seconds);
-    switch (point.point.kind) {
-        case obs::MetricKind::kCounter:
-            out += ",\"value\":";
-            out += std::to_string(point.point.value);
-            out += ",\"delta\":";
-            out += std::to_string(point.point.delta);
-            break;
-        case obs::MetricKind::kGauge:
-            out += ",\"level\":";
-            out += std::to_string(point.point.level);
-            break;
-        case obs::MetricKind::kHistogram:
-            out += ",\"count\":";
-            out += std::to_string(point.point.count);
-            out += ",\"interval_count\":";
-            out += std::to_string(point.point.interval_count);
-            out += ",\"interval_sum\":";
-            out += format_double_exact(point.point.interval_sum);
-            out += ",\"p50\":";
-            out += format_double_exact(point.point.p50);
-            out += ",\"p95\":";
-            out += format_double_exact(point.point.p95);
-            out += ",\"p99\":";
-            out += format_double_exact(point.point.p99);
-            break;
-    }
-    out += '}';
-}
-
 void register_timeseries(obs::IntrospectionTree& tree,
                          const obs::FlightRecorder* recorder) {
     tree.add(
@@ -322,7 +265,7 @@ void register_timeseries(obs::IntrospectionTree& tree,
             page.content_type = "application/json";
             std::uint64_t keep = UINT64_MAX;
             if (const auto n = request.param("n")) {
-                if (!parse_u64(*n, keep)) {
+                if (!parse_decimal_u64(*n, keep)) {
                     page.status = 400;
                     page.content_type = "text/plain; charset=utf-8";
                     page.body = "bad 'n' parameter: " + *n + "\n";
@@ -330,30 +273,23 @@ void register_timeseries(obs::IntrospectionTree& tree,
                 }
             }
             const auto metric = request.param("metric");
+            obs::JsonWriter out;
             if (!metric) {
                 // Index page: ring shape plus every metric in the newest
                 // snapshot, so a client can discover what it may query.
-                page.body = "{\"interval_seconds\":";
-                page.body +=
-                    format_double_exact(recorder->interval_seconds());
-                page.body += ",\"capacity\":";
-                page.body += std::to_string(recorder->capacity());
-                page.body += ",\"size\":";
-                page.body += std::to_string(recorder->size());
-                page.body += ",\"samples_taken\":";
-                page.body += std::to_string(recorder->samples_taken());
-                page.body += ",\"metrics\":[";
-                bool first = true;
+                out.begin_object()
+                    .field("interval_seconds", recorder->interval_seconds())
+                    .field("capacity", recorder->capacity())
+                    .field("size", recorder->size())
+                    .field("samples_taken", recorder->samples_taken())
+                    .begin_array("metrics");
                 for (const auto& [name, kind] : recorder->metric_names()) {
-                    if (!first) page.body += ',';
-                    first = false;
-                    page.body += "{\"name\":\"";
-                    page.body += obs::escape_json(name);
-                    page.body += "\",\"kind\":\"";
-                    page.body += obs::to_string(kind);
-                    page.body += "\"}";
+                    out.begin_object()
+                        .field("name", name)
+                        .field("kind", obs::to_string(kind))
+                        .end_object();
                 }
-                page.body += "]}";
+                page.body = out.end_array().end_object().take();
                 return page;
             }
             const std::vector<obs::SeriesPoint> series =
@@ -364,16 +300,19 @@ void register_timeseries(obs::IntrospectionTree& tree,
                 page.body = "no recorded series for metric: " + *metric + "\n";
                 return page;
             }
-            page.body = "{\"metric\":\"";
-            page.body += obs::escape_json(*metric);
-            page.body += "\",\"kind\":\"";
-            page.body += obs::to_string(series.front().point.kind);
-            page.body += "\",\"points\":[";
-            for (std::size_t i = 0; i < series.size(); ++i) {
-                if (i > 0) page.body += ',';
-                append_series_point(page.body, series[i]);
+            out.begin_object()
+                .field("metric", *metric)
+                .field("kind", obs::to_string(series.front().point.kind))
+                .begin_array("points");
+            for (const obs::SeriesPoint& point : series) {
+                out.begin_object()
+                    .field("seq", point.sequence)
+                    .field("wall_time", point.wall_time)
+                    .field("interval", point.interval_seconds);
+                obs::write_point_fields(out, point.point);
+                out.end_object();
             }
-            page.body += "]}";
+            page.body = out.end_array().end_object().take();
             return page;
         });
 }

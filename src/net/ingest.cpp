@@ -10,15 +10,8 @@
 
 namespace hpr::net {
 
-namespace {
-
-using obs::IntrospectionPage;
-using obs::IntrospectionRequest;
-
-/// Strict decimal parse of one field: digits only (timestamps may lead
-/// with '-'), full token consumed, no overflow.
-bool parse_field_u64(std::string_view token, std::uint64_t max,
-                     std::uint64_t& out) {
+bool parse_decimal_u64(std::string_view token, std::uint64_t& out,
+                       std::uint64_t max) {
     if (token.empty() || token.size() > 20) return false;
     std::uint64_t value = 0;
     for (const char c : token) {
@@ -34,6 +27,11 @@ bool parse_field_u64(std::string_view token, std::uint64_t max,
     return true;
 }
 
+namespace {
+
+using obs::IntrospectionPage;
+using obs::IntrospectionRequest;
+
 bool parse_field_i64(std::string_view token, std::int64_t& out) {
     bool negative = false;
     if (!token.empty() && token.front() == '-') {
@@ -47,7 +45,7 @@ bool parse_field_i64(std::string_view token, std::int64_t& out) {
                        1
                  : static_cast<std::uint64_t>(
                        std::numeric_limits<std::int64_t>::max());
-    if (!parse_field_u64(token, max, magnitude)) return false;
+    if (!parse_decimal_u64(token, magnitude, max)) return false;
     out = negative ? -static_cast<std::int64_t>(magnitude - 1) - 1
                    : static_cast<std::int64_t>(magnitude);
     return true;
@@ -244,9 +242,8 @@ bool parse_ingest_body(const std::string& body,
         const std::string_view outcome_field = line.substr(sp2 + 1);
 
         std::uint64_t server = 0;
-        if (!parse_field_u64(server_field,
-                             std::numeric_limits<repsys::EntityId>::max(),
-                             server)) {
+        if (!parse_decimal_u64(server_field, server,
+                               std::numeric_limits<repsys::EntityId>::max())) {
             error = line_error(line_number, "bad server id");
             return false;
         }
@@ -391,8 +388,8 @@ IntrospectionPage IngestService::assess_page(
         return error_text(400, "missing 'server' parameter");
     }
     std::uint64_t id = 0;
-    if (!parse_field_u64(*server_param,
-                         std::numeric_limits<repsys::EntityId>::max(), id)) {
+    if (!parse_decimal_u64(*server_param, id,
+                           std::numeric_limits<repsys::EntityId>::max())) {
         return error_text(400, "bad 'server' parameter: " + *server_param);
     }
     const auto server = static_cast<repsys::EntityId>(id);

@@ -66,6 +66,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "net/http_server.h"
 #include "obs/introspection.h"
@@ -238,6 +239,12 @@ private:
     std::atomic<std::uint64_t> accepted_records_{0};
     std::atomic<std::uint64_t> rejected_requests_{0};
 };
+
+/// Strict decimal parse of a wire field or query value: digits only, the
+/// whole token, at most `max`.  Ingest lines, `/assess` and the integer
+/// parameters of net/endpoints.h all use it, so `+7` is malformed everywhere.
+[[nodiscard]] bool parse_decimal_u64(std::string_view token, std::uint64_t& out,
+                                     std::uint64_t max = UINT64_MAX);
 
 /// Parse one ingest body into feedbacks.  On failure returns false and
 /// fills `error` with "line <n>: <reason>" (1-based).  Exposed for the

@@ -1,20 +1,12 @@
 #include "obs/export.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace hpr::obs {
 
 namespace {
-
-/// Shortest round-trip formatting for doubles (printf %.17g is exact but
-/// ugly; %g at 12 significant digits is plenty for metric readout).
-std::string format_double(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.12g", value);
-    return buffer;
-}
 
 void append_prometheus_histogram(std::ostringstream& out, const Registry::Entry& entry) {
     const std::string name = escape_prometheus(entry.name);
@@ -23,15 +15,11 @@ void append_prometheus_histogram(std::ostringstream& out, const Registry::Entry&
     for (std::size_t b = 0; b < snap.counts.size(); ++b) {
         cumulative += snap.counts[b];
         const std::string le =
-            b < snap.bounds.size() ? format_double(snap.bounds[b]) : "+Inf";
+            b < snap.bounds.size() ? format_metric(snap.bounds[b]) : "+Inf";
         out << name << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
     }
-    out << name << "_sum " << format_double(snap.sum) << '\n';
+    out << name << "_sum " << format_metric(snap.sum) << '\n';
     out << name << "_count " << snap.count << '\n';
-}
-
-void json_escape_into(std::ostringstream& out, std::string_view text) {
-    out << escape_json(text);
 }
 
 /// Prometheus label-VALUE escaping (the exposition format escapes label
@@ -81,33 +69,6 @@ std::string escape_prometheus(std::string_view text) {
     return out;
 }
 
-std::string escape_json(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(c)));
-                    out += buffer;
-                } else {
-                    out += c;
-                }
-                break;
-        }
-    }
-    return out;
-}
-
 std::string to_prometheus(const Registry& registry) {
     std::ostringstream out;
     registry.visit([&out](const Registry::Entry& entry) {
@@ -137,78 +98,51 @@ std::string to_prometheus(const Registry& registry) {
 }
 
 std::string to_json(const Registry& registry) {
-    std::ostringstream counters;
-    std::ostringstream gauges;
-    std::ostringstream histograms;
-    bool first_counter = true;
-    bool first_gauge = true;
-    bool first_histogram = true;
-    registry.visit([&](const Registry::Entry& entry) {
-        switch (entry.kind) {
-            case MetricKind::kCounter: {
-                if (!first_counter) counters << ',';
-                first_counter = false;
-                counters << '"';
-                json_escape_into(counters, entry.name);
-                counters << "\":" << entry.counter->value();
-                break;
-            }
-            case MetricKind::kGauge: {
-                if (!first_gauge) gauges << ',';
-                first_gauge = false;
-                gauges << '"';
-                json_escape_into(gauges, entry.name);
-                if (entry.labels.empty()) {
-                    gauges << "\":" << entry.gauge->value();
-                } else {
-                    // Info gauges keep their labels machine-readable:
-                    // {"value": v, "labels": {...}} instead of a bare v.
-                    gauges << "\":{\"value\":" << entry.gauge->value()
-                           << ",\"labels\":{";
-                    for (std::size_t i = 0; i < entry.labels.size(); ++i) {
-                        if (i != 0) gauges << ',';
-                        gauges << '"';
-                        json_escape_into(gauges, entry.labels[i].first);
-                        gauges << "\":\"";
-                        json_escape_into(gauges, entry.labels[i].second);
-                        gauges << '"';
-                    }
-                    gauges << "}}";
-                }
-                break;
-            }
-            case MetricKind::kHistogram: {
-                if (!first_histogram) histograms << ',';
-                first_histogram = false;
-                const HistogramSnapshot snap = entry.histogram->snapshot();
-                histograms << '"';
-                json_escape_into(histograms, entry.name);
-                histograms << "\":{\"count\":" << snap.count
-                           << ",\"sum\":" << format_double(snap.sum)
-                           << ",\"mean\":" << format_double(snap.mean())
-                           << ",\"p50\":" << format_double(snap.quantile(0.50))
-                           << ",\"p95\":" << format_double(snap.quantile(0.95))
-                           << ",\"p99\":" << format_double(snap.quantile(0.99))
-                           << ",\"buckets\":[";
-                std::uint64_t cumulative = 0;
-                for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-                    cumulative += snap.counts[b];
-                    if (b != 0) histograms << ',';
-                    histograms << "[\""
-                               << (b < snap.bounds.size()
-                                       ? format_double(snap.bounds[b])
-                                       : std::string{"+Inf"})
-                               << "\"," << cumulative << ']';
-                }
-                histograms << "]}";
-                break;
-            }
-        }
+    JsonWriter out;
+    out.begin_object().begin_object("counters");
+    registry.visit([&out](const Registry::Entry& entry) {
+        if (entry.kind != MetricKind::kCounter) return;
+        out.field(entry.name, entry.counter->value());
     });
-    std::ostringstream out;
-    out << "{\"counters\":{" << counters.str() << "},\"gauges\":{" << gauges.str()
-        << "},\"histograms\":{" << histograms.str() << "}}";
-    return out.str();
+    out.end_object().begin_object("gauges");
+    registry.visit([&out](const Registry::Entry& entry) {
+        if (entry.kind != MetricKind::kGauge) return;
+        if (entry.labels.empty()) {
+            out.field(entry.name, entry.gauge->value());
+            return;
+        }
+        // Info gauges keep their labels machine-readable:
+        // {"value": v, "labels": {...}} instead of a bare v.
+        out.begin_object(entry.name)
+            .field("value", entry.gauge->value())
+            .begin_object("labels");
+        for (const auto& [key, value] : entry.labels) out.field(key, value);
+        out.end_object().end_object();
+    });
+    out.end_object().begin_object("histograms");
+    registry.visit([&out](const Registry::Entry& entry) {
+        if (entry.kind != MetricKind::kHistogram) return;
+        const HistogramSnapshot snap = entry.histogram->snapshot();
+        out.begin_object(entry.name)
+            .field("count", snap.count)
+            .field("sum", snap.sum)
+            .field("mean", snap.mean())
+            .field("p50", snap.quantile(0.50))
+            .field("p95", snap.quantile(0.95))
+            .field("p99", snap.quantile(0.99))
+            .begin_array("buckets");
+        std::uint64_t cumulative = 0;
+        for (std::size_t b = 0; b < snap.counts.size(); ++b) {
+            cumulative += snap.counts[b];
+            out.begin_array()
+                .element(b < snap.bounds.size() ? format_metric(snap.bounds[b])
+                                                : std::string{"+Inf"})
+                .element(cumulative)
+                .end_array();
+        }
+        out.end_array().end_object();
+    });
+    return out.end_object().end_object().take();
 }
 
 }  // namespace hpr::obs

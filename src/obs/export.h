@@ -9,7 +9,9 @@
 ///    `_bucket{le="..."}` / `_sum` / `_count` series, so the output can be
 ///    scraped verbatim; or
 ///  * a single JSON object (to_json) — machine-readable snapshots for
-///    benches and tests, with p50/p95/p99 precomputed per histogram.
+///    benches and tests, with p50/p95/p99 precomputed per histogram,
+///    written by the obs JSON writer (obs/json.h, which also holds
+///    escape_json).
 ///
 /// Both render a point-in-time snapshot; neither blocks recording.
 
@@ -31,11 +33,6 @@ namespace hpr::obs {
 /// `[a-zA-Z_][a-zA-Z0-9_]*` names, but the exporter escapes defensively
 /// anyway so it stays safe for callers that format ad-hoc text.
 [[nodiscard]] std::string escape_prometheus(std::string_view text);
-
-/// Escape text for embedding inside a JSON string literal: quotes,
-/// backslashes, and all control characters (< 0x20) as `\\uOOXX` or the
-/// short forms `\\n` `\\r` `\\t` `\\b` `\\f`.
-[[nodiscard]] std::string escape_json(std::string_view text);
 
 /// JSON object `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
 /// Histograms carry count, sum, mean, p50/p95/p99 and the cumulative

@@ -7,23 +7,16 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 #include "obs/buildinfo.h"
-#include "obs/export.h"
+#include "obs/json.h"
 #include "obs/timer.h"
 
 namespace hpr::obs {
 
 namespace {
-
-std::string format_double(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.12g", value);
-    return buffer;
-}
 
 double wall_seconds() {
     return std::chrono::duration<double>(
@@ -261,64 +254,51 @@ std::size_t FlightRecorder::size() const {
     return size_;
 }
 
+void write_point_fields(JsonWriter& out, const MetricPoint& point) {
+    switch (point.kind) {
+        case MetricKind::kCounter:
+            out.field("value", point.value).field("delta", point.delta);
+            break;
+        case MetricKind::kGauge:
+            out.field("level", point.level);
+            break;
+        case MetricKind::kHistogram:
+            out.field("count", point.count)
+                .field("interval_count", point.interval_count)
+                .field("interval_sum", point.interval_sum)
+                .field("p50", point.p50)
+                .field("p95", point.p95)
+                .field("p99", point.p99);
+            break;
+    }
+}
+
 std::string to_frame(const RecorderSnapshot& snapshot) {
-    std::string out = "{\"type\":\"snapshot\",\"seq\":";
-    out += std::to_string(snapshot.sequence);
-    out += ",\"wall_time\":";
-    out += format_double(snapshot.wall_time);
-    out += ",\"uptime\":";
-    out += format_double(snapshot.uptime_seconds);
-    out += ",\"interval\":";
-    out += format_double(snapshot.interval_seconds);
-    out += ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, point] : snapshot.points) {
-        if (point.kind != MetricKind::kCounter) continue;
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape_json(name);
-        out += "\":{\"value\":";
-        out += std::to_string(point.value);
-        out += ",\"delta\":";
-        out += std::to_string(point.delta);
-        out += '}';
+    JsonWriter out;
+    out.begin_object()
+        .field("type", "snapshot")
+        .field("seq", snapshot.sequence)
+        .field("wall_time", snapshot.wall_time)
+        .field("uptime", snapshot.uptime_seconds)
+        .field("interval", snapshot.interval_seconds);
+    for (const auto& [kind, section] :
+         {std::pair{MetricKind::kCounter, "counters"},
+          std::pair{MetricKind::kGauge, "gauges"},
+          std::pair{MetricKind::kHistogram, "histograms"}}) {
+        out.begin_object(section);
+        for (const auto& [name, point] : snapshot.points) {
+            if (point.kind != kind) continue;
+            if (kind == MetricKind::kGauge) {
+                out.field(name, point.level);  // a gauge is its bare level
+                continue;
+            }
+            out.begin_object(name);
+            write_point_fields(out, point);
+            out.end_object();
+        }
+        out.end_object();
     }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, point] : snapshot.points) {
-        if (point.kind != MetricKind::kGauge) continue;
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape_json(name);
-        out += "\":";
-        out += std::to_string(point.level);
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, point] : snapshot.points) {
-        if (point.kind != MetricKind::kHistogram) continue;
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += escape_json(name);
-        out += "\":{\"count\":";
-        out += std::to_string(point.count);
-        out += ",\"interval_count\":";
-        out += std::to_string(point.interval_count);
-        out += ",\"interval_sum\":";
-        out += format_double(point.interval_sum);
-        out += ",\"p50\":";
-        out += format_double(point.p50);
-        out += ",\"p95\":";
-        out += format_double(point.p95);
-        out += ",\"p99\":";
-        out += format_double(point.p99);
-        out += '}';
-    }
-    out += "}}";
-    return out;
+    return out.end_object().take();
 }
 
 // ---------------------------------------------------------------------------
@@ -450,12 +430,14 @@ bool BlackBox::arm(const std::string& path, std::size_t presize_bytes) {
         }
     }
     for (std::size_t i = 0; i < kBlackBoxSignalCount; ++i) {
-        const int written = std::snprintf(
-            g_crash_frames[i], sizeof g_crash_frames[i],
-            "{\"type\":\"crash\",\"signal\":%d,\"name\":\"%s\"}\n",
-            kBlackBoxSignals[i], signal_name(kBlackBoxSignals[i]));
-        g_crash_frame_len[i] =
-            written > 0 ? static_cast<std::size_t>(written) : 0;
+        JsonWriter frame;
+        frame.begin_object()
+            .field("type", "crash")
+            .field("signal", std::int64_t{kBlackBoxSignals[i]})
+            .field("name", signal_name(kBlackBoxSignals[i]));
+        const std::string text = frame.end_object().take() + '\n';
+        g_crash_frame_len[i] = std::min(text.size(), sizeof g_crash_frames[i]);
+        std::memcpy(g_crash_frames[i], text.data(), g_crash_frame_len[i]);
     }
     g_slots[0].size.store(0, std::memory_order_release);
     g_slots[1].size.store(0, std::memory_order_release);

@@ -204,6 +204,14 @@ private:
     bool stop_requested_ = false;  ///< guarded by wake_mutex_
 };
 
+class JsonWriter;
+
+/// Write one point's fields into the open JSON object: counter `value`,
+/// `delta`; gauge `level`; histogram `count`, `interval_count`,
+/// `interval_sum`, `p50`, `p95`, `p99`.  The snapshot frame below and
+/// the `/timeseries` points (net/endpoints.h) both render points so.
+void write_point_fields(JsonWriter& out, const MetricPoint& point);
+
 /// One-line JSON frame of a snapshot for the black-box file:
 /// `{"type":"snapshot","seq":..,"wall_time":..,"uptime":..,"interval":..,
 ///   "counters":{name:{"value":..,"delta":..}},"gauges":{name:level},

@@ -5,14 +5,12 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
-#include "obs/export.h"
+#include "obs/json.h"
 
 namespace hpr::obs {
 
@@ -49,83 +47,65 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
     return x ^ (x >> 31);
 }
 
-/// 17 significant digits: enough for any double to round-trip exactly
-/// through the JSONL dump and back (forensics must not lose precision).
-std::string format_double(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
-}
-
-void append_string(std::ostringstream& out, std::string_view key,
-                   std::string_view value) {
-    out << '"' << key << "\":\"" << escape_json(value) << '"';
-}
-
-void append_stage(std::ostringstream& out, const StageEvidence& stage) {
-    out << "{\"suffix_length\":" << stage.suffix_length
-        << ",\"windows\":" << stage.windows
-        << ",\"p_hat\":" << format_double(stage.p_hat)
-        << ",\"distance\":" << format_double(stage.distance)
-        << ",\"epsilon\":" << format_double(stage.epsilon)
-        << ",\"sufficient\":" << (stage.sufficient ? "true" : "false")
-        << ",\"passed\":" << (stage.passed ? "true" : "false") << '}';
+/// Fill the stage object just opened on `out`, and close it.
+void write_stage(JsonWriter& out, const StageEvidence& stage) {
+    out.field("suffix_length", stage.suffix_length)
+        .field("windows", stage.windows)
+        .field("p_hat", stage.p_hat)
+        .field("distance", stage.distance)
+        .field("epsilon", stage.epsilon)
+        .field("sufficient", stage.sufficient)
+        .field("passed", stage.passed)
+        .end_object();
 }
 
 }  // namespace
 
 std::string to_jsonl(const DecisionRecord& record) {
-    std::ostringstream out;
-    out << "{\"trace_id\":" << record.trace_id << ',';
-    append_string(out, "source", record.source);
-    out << ",\"server\":" << record.server
-        << ",\"wall_time\":" << format_double(record.wall_time) << ',';
-    append_string(out, "verdict", record.verdict);
-    if (!record.transition.empty()) {
-        out << ',';
-        append_string(out, "transition", record.transition);
-    }
-    if (record.trust) {
-        out << ",\"trust\":" << format_double(*record.trust);
-    }
-    out << ',';
-    append_string(out, "mode", record.mode);
-    out << ",\"collusion_resilient\":" << (record.collusion_resilient ? "true" : "false")
-        << ",\"window_size\":" << record.window_size
-        << ",\"history_length\":" << record.history_length
-        << ",\"p_hat\":" << format_double(record.p_hat)
-        << ",\"min_margin\":" << format_double(record.min_margin);
-    if (record.failed) {
-        out << ",\"failed\":";
-        append_stage(out, *record.failed);
-    }
+    JsonWriter out{JsonWriter::Doubles::kRoundTrip};
+    out.begin_object()
+        .field("trace_id", record.trace_id)
+        .field("source", record.source)
+        .field("server", record.server)
+        .field("wall_time", record.wall_time)
+        .field("verdict", record.verdict);
+    if (!record.transition.empty()) out.field("transition", record.transition);
+    if (record.trust) out.field("trust", *record.trust);
+    out.field("mode", record.mode)
+        .field("collusion_resilient", record.collusion_resilient)
+        .field("window_size", std::uint64_t{record.window_size})
+        .field("history_length", record.history_length)
+        .field("p_hat", record.p_hat)
+        .field("min_margin", record.min_margin);
+    if (record.failed) write_stage(out.begin_object("failed"), *record.failed);
     if (record.reorder.applied) {
-        out << ",\"reorder\":{\"issuers\":" << record.reorder.issuers
-            << ",\"largest_group\":" << record.reorder.largest_group
-            << ",\"displaced_fraction\":"
-            << format_double(record.reorder.displaced_fraction) << '}';
+        out.begin_object("reorder")
+            .field("issuers", record.reorder.issuers)
+            .field("largest_group", record.reorder.largest_group)
+            .field("displaced_fraction", record.reorder.displaced_fraction)
+            .end_object();
     }
     if (record.runs.evaluated) {
-        out << ",\"runs\":{\"passed\":" << (record.runs.passed ? "true" : "false")
-            << ",\"z\":" << format_double(record.runs.z)
-            << ",\"z_threshold\":" << format_double(record.runs.z_threshold) << '}';
+        out.begin_object("runs")
+            .field("passed", record.runs.passed)
+            .field("z", record.runs.z)
+            .field("z_threshold", record.runs.z_threshold)
+            .end_object();
     }
-    out << ",\"stages\":[";
-    for (std::size_t i = 0; i < record.stages.size(); ++i) {
-        if (i != 0) out << ',';
-        append_stage(out, record.stages[i]);
+    out.begin_array("stages");
+    for (const StageEvidence& stage : record.stages) {
+        write_stage(out.begin_object(), stage);
     }
-    out << "],\"spans\":[";
-    for (std::size_t i = 0; i < record.spans.size(); ++i) {
-        const SpanRecord& span = record.spans[i];
-        if (i != 0) out << ',';
-        out << "{\"name\":\"" << escape_json(span.name)
-            << "\",\"depth\":" << span.depth
-            << ",\"start\":" << format_double(span.start_seconds)
-            << ",\"duration\":" << format_double(span.duration_seconds) << '}';
+    out.end_array().begin_array("spans");
+    for (const SpanRecord& span : record.spans) {
+        out.begin_object()
+            .field("name", span.name)
+            .field("depth", std::uint64_t{span.depth})
+            .field("start", span.start_seconds)
+            .field("duration", span.duration_seconds)
+            .end_object();
     }
-    out << "]}";
-    return out.str();
+    return out.end_array().end_object().take();
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +504,6 @@ std::uint64_t rate_to_threshold(double rate) noexcept {
 Tracer::Tracer(TracerConfig config)
     : config_(config),
       enabled_(config.enabled),
-      span_stages_(config.span_stages),
       rate_threshold_(rate_to_threshold(config.sample_rate)),
       ring_(config.ring_capacity) {}
 
@@ -543,14 +522,6 @@ void Tracer::set_sample_rate(double rate) noexcept {
 double Tracer::sample_rate() const noexcept {
     const std::uint64_t threshold = rate_threshold_.load(std::memory_order_relaxed);
     return std::min(1.0, static_cast<double>(threshold) / 4294967296.0);
-}
-
-void Tracer::set_span_stages(bool enabled) noexcept {
-    span_stages_.store(enabled, std::memory_order_relaxed);
-}
-
-bool Tracer::span_stages() const noexcept {
-    return span_stages_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Tracer::next_trace_id() noexcept {
@@ -578,7 +549,6 @@ TraceContext::TraceContext(Tracer& tracer, std::uint64_t server,
     const std::uint64_t id = tracer.next_trace_id();
     if (!tracer.sampled(id)) return;
     tracer_ = &tracer;
-    span_stages_ = tracer.span_stages();
     record_.emplace();
     record_->trace_id = id;
     record_->server = server;

@@ -20,8 +20,8 @@
 ///    calibrator) reaches the active context through a thread-local
 ///    pointer, so no signature in the screening pipeline changes;
 ///  * TraceSpan      — an RAII nested timing span recorded into the
-///    active context (phase-1 ladder, per-stage distance evaluation,
-///    collusion reordering, phase-2 trust, cold Monte-Carlo runs);
+///    active context (phase-1 ladder, collusion reordering, phase-2
+///    trust, cold Monte-Carlo runs);
 ///  * TraceRing      — a bounded multi-producer ring the finished records
 ///    land in (oldest evicted first), drained by `reputation_server
 ///    --trace-dump` and by tests;
@@ -189,11 +189,6 @@ struct TracerConfig {
     /// Master switch, runtime-settable.  Off by default: tracing is
     /// opt-in (`reputation_server --trace-dump/--trace-sample`, tests).
     bool enabled = false;
-
-    /// Record a per-suffix-stage span ("phase1/stage") around every
-    /// distance evaluation.  Off by default: on a long ladder the two
-    /// clock reads per stage dominate the tracing cost.
-    bool span_stages = false;
 };
 
 /// Trace-id allocation, sampling and record collection.  Thread-safe.
@@ -212,9 +207,6 @@ public:
     void set_sample_rate(double rate) noexcept;
     [[nodiscard]] double sample_rate() const noexcept;
 
-    void set_span_stages(bool enabled) noexcept;
-    [[nodiscard]] bool span_stages() const noexcept;
-
     /// Monotone per-tracer id sequence, starting at 1.
     [[nodiscard]] std::uint64_t next_trace_id() noexcept;
 
@@ -228,7 +220,6 @@ public:
 private:
     TracerConfig config_;
     std::atomic<bool> enabled_;
-    std::atomic<bool> span_stages_;
     std::atomic<std::uint64_t> rate_threshold_;  ///< sample iff hash>>32 < this
     std::atomic<std::uint64_t> next_id_{1};
     TraceRing ring_;
@@ -270,10 +261,6 @@ public:
     /// Seconds since the trace started (0 when not sampled).
     [[nodiscard]] double elapsed_seconds() const;
 
-    /// Whether per-stage spans were requested (tracer knob, snapshotted
-    /// at construction so one trace is internally consistent).
-    [[nodiscard]] bool span_stages() const noexcept { return span_stages_; }
-
 private:
     friend class TraceSpan;
 
@@ -282,20 +269,14 @@ private:
     Stopwatch watch_;
     TraceContext* prev_ = nullptr;
     std::uint32_t open_depth_ = 0;
-    bool span_stages_ = false;
 };
 
 /// RAII nested timing span recorded into the active TraceContext (inert
-/// when none is open, when `enable` is false, or when obs is disabled).
-/// `name` must outlive the span (string literals in practice).
+/// when none is open or when obs is disabled).  `name` must outlive the
+/// span (string literals in practice).
 class TraceSpan {
 public:
-    /// The guards are inline so a span that is disabled (`enable` false —
-    /// e.g. per-stage spans with the `span_stages` knob off) costs a
-    /// branch, not a cross-TU call, even when it sits inside a hot loop.
-    explicit TraceSpan(const char* name, bool enable = true) noexcept {
-        if (enable) open(name);
-    }
+    explicit TraceSpan(const char* name) noexcept { open(name); }
     ~TraceSpan() {
         if (context_ != nullptr) close();
     }

@@ -5,17 +5,11 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/export.h"
+#include "obs/json.h"
 
 namespace hpr::obs {
 
 namespace {
-
-std::string format_double(double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.12g", value);
-    return buffer;
-}
 
 std::string format_value(double value, const char* unit) {
     char buffer[96];
@@ -306,35 +300,25 @@ std::uint64_t Watchdog::evaluations() const noexcept {
 }
 
 std::string to_frame(const HealthVerdict& verdict) {
-    std::string out = "{\"type\":\"health\",\"seq\":";
-    out += std::to_string(verdict.sequence);
-    out += ",\"wall_time\":";
-    out += format_double(verdict.wall_time);
-    out += ",\"uptime\":";
-    out += format_double(verdict.uptime_seconds);
-    out += ",\"healthy\":";
-    out += verdict.healthy ? "true" : "false";
-    out += ",\"signals\":[";
-    bool first = true;
+    JsonWriter out;
+    out.begin_object()
+        .field("type", "health")
+        .field("seq", verdict.sequence)
+        .field("wall_time", verdict.wall_time)
+        .field("uptime", verdict.uptime_seconds)
+        .field("healthy", verdict.healthy)
+        .begin_array("signals");
     for (const HealthSignal& signal : verdict.signals) {
-        if (!first) out += ',';
-        first = false;
-        out += "{\"name\":\"";
-        out += escape_json(signal.name);
-        out += "\",\"evaluated\":";
-        out += signal.evaluated ? "true" : "false";
-        out += ",\"firing\":";
-        out += signal.firing ? "true" : "false";
-        out += ",\"value\":";
-        out += format_double(signal.value);
-        out += ",\"threshold\":";
-        out += format_double(signal.threshold);
-        out += ",\"detail\":\"";
-        out += escape_json(signal.detail);
-        out += "\"}";
+        out.begin_object()
+            .field("name", signal.name)
+            .field("evaluated", signal.evaluated)
+            .field("firing", signal.firing)
+            .field("value", signal.value)
+            .field("threshold", signal.threshold)
+            .field("detail", signal.detail)
+            .end_object();
     }
-    out += "]}";
-    return out;
+    return out.end_array().end_object().take();
 }
 
 std::string render_blackbox(const FlightRecorder& recorder,
@@ -354,9 +338,12 @@ std::string render_blackbox(const FlightRecorder& recorder,
         const std::size_t begin =
             records.size() > trace_n ? records.size() - trace_n : 0;
         for (std::size_t i = begin; i < records.size(); ++i) {
-            out += "{\"type\":\"trace\",\"record\":";
-            out += to_jsonl(records[i]);
-            out += "}\n";
+            JsonWriter frame;
+            frame.begin_object()
+                .field("type", "trace")
+                .raw_field("record", to_jsonl(records[i]));
+            out += frame.end_object().take();
+            out += '\n';
         }
     }
     return out;

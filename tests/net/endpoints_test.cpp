@@ -17,6 +17,7 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "obs/export.h"
+#include "obs/flightrecorder.h"
 #include "obs/introspection.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -207,6 +208,27 @@ TEST(Endpoints, ServerDetailPageAndUnknownIds) {
     EXPECT_EQ(tree.get("/servers/notanumber").status, 404);
     // 2^32 + 7 must not wrap onto server 7.
     EXPECT_EQ(tree.get("/servers/4294967303").status, 404);
+}
+
+TEST(Endpoints, IntegerParametersAreDigitsOnly) {
+    // The ingest line protocol and /assess already reject a sign; every
+    // integer query and the /servers/<id> path must too, so `+7` is
+    // neither a second spelling of server 7 nor a valid count.
+    Fixture fixture;
+    obs::FlightRecorder recorder{{}, fixture.registry};
+    (void)recorder.sample_now();
+    obs::IntrospectionTree timeseries;
+    IntrospectionSources sources;
+    sources.recorder = &recorder;
+    register_introspection(timeseries, sources);
+
+    for (const char* target :
+         {"/traces?n=+1", "/traces?server=+7", "/servers?limit=+1"}) {
+        EXPECT_EQ(fixture.tree.get(target).status, 400) << target;
+    }
+    EXPECT_EQ(timeseries.get("/timeseries?n=+1").status, 400);
+    EXPECT_EQ(timeseries.get("/timeseries?n=1").status, 200);
+    EXPECT_EQ(fixture.tree.get("/servers/+7").status, 404);
 }
 
 TEST(Endpoints, CalibrationPageReportsCacheStatistics) {

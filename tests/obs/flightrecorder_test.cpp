@@ -70,13 +70,16 @@ TEST(FlightRecorder, GaugeLevelsAreInstantaneous) {
     Gauge& depth = registry.gauge("test_queue_depth", "test");
     depth.set(42);
     FlightRecorder recorder{{}, registry};
-    const MetricPoint* point = find(recorder.sample_now(), "test_queue_depth");
+    // find() points into the snapshot, so each one must outlive its use.
+    const RecorderSnapshot first = recorder.sample_now();
+    const MetricPoint* point = find(first, "test_queue_depth");
     ASSERT_NE(point, nullptr);
     EXPECT_EQ(point->kind, MetricKind::kGauge);
     EXPECT_EQ(point->level, 42);
 
     depth.set(-3);
-    point = find(recorder.sample_now(), "test_queue_depth");
+    const RecorderSnapshot second = recorder.sample_now();
+    point = find(second, "test_queue_depth");
     ASSERT_NE(point, nullptr);
     EXPECT_EQ(point->level, -3);
 }

@@ -12,6 +12,7 @@
 
 #include "core/two_phase.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/timer.h"
 #include "repsys/store.h"
 #include "repsys/trust.h"

@@ -41,7 +41,6 @@ struct TracerGuard {
     TracerGuard() {
         set_enabled(true);
         default_tracer().set_sample_rate(1.0);
-        default_tracer().set_span_stages(false);
         default_tracer().set_enabled(true);
         (void)default_tracer().ring().drain();
     }
@@ -435,8 +434,7 @@ TEST(DecisionTrace, SpansNestUnderTheAssessment) {
     EXPECT_LE(ladder->duration_seconds, screen->duration_seconds * 1.5 + 1e-3);
     for (const auto& span : records.front().spans) {
         EXPECT_GE(span.duration_seconds, 0.0) << span.name;
-        EXPECT_NE(span.name, "phase1/stage")
-            << "per-stage spans are off unless span_stages is set";
+        EXPECT_NE(span.name, "phase1/stage") << "there are no per-stage spans";
     }
 }
 
