@@ -28,7 +28,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/config.h"
+#include "core/multi_test.h"
+#include "obs/timer.h"
+#include "stats/reference_cache.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

@@ -42,7 +42,17 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/two_phase.h"
+#include "obs/flightrecorder.h"
+#include "obs/timer.h"
+#include "obs/trace.h"
+#include "obs/watchdog.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

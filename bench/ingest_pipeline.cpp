@@ -48,7 +48,17 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "hpr.h"
+#include "net/endpoints.h"
+#include "net/http_client.h"
+#include "net/http_server.h"
+#include "net/ingest.h"
+#include "obs/introspection.h"
+#include "obs/metrics.h"
+#include "obs/timer.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
 
 using namespace hpr;
 

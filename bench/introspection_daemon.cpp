@@ -34,7 +34,20 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/two_phase.h"
+#include "net/endpoints.h"
+#include "net/http_client.h"
+#include "net/http_server.h"
+#include "obs/introspection.h"
+#include "obs/metrics.h"
+#include "obs/timer.h"
+#include "obs/trace.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

@@ -15,11 +15,8 @@
 #include "core/collusion.h"
 #include "core/multi_test.h"
 #include "core/online.h"
-#include "repsys/eigentrust.h"
 #include "repsys/trust.h"
 #include "sim/generators.h"
-#include "sim/gossip.h"
-#include "sim/overlay.h"
 #include "stats/distance.h"
 #include "stats/empirical.h"
 #include "stats/reference_cache.h"
@@ -311,67 +308,6 @@ void BM_ChangePointDetect(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChangePointDetect)->Arg(1000)->Arg(10000);
-
-void BM_EigenTrustCompute(benchmark::State& state) {
-    stats::Rng rng{33};
-    std::vector<repsys::Feedback> feedbacks;
-    for (std::int64_t i = 0; i < state.range(0); ++i) {
-        feedbacks.push_back(repsys::Feedback{
-            i + 1, static_cast<repsys::EntityId>(1 + rng.uniform_int(std::uint64_t{32})),
-            static_cast<repsys::EntityId>(100 + rng.uniform_int(std::uint64_t{200})),
-            rng.bernoulli(0.85) ? repsys::Rating::kPositive
-                                : repsys::Rating::kNegative});
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(repsys::EigenTrust::compute(feedbacks).iterations());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EigenTrustCompute)->Arg(1000)->Arg(10000);
-
-void BM_OverlayPublish(benchmark::State& state) {
-    sim::OverlayConfig config;
-    config.nodes = static_cast<std::size_t>(state.range(0));
-    sim::FeedbackOverlay overlay{config};
-    repsys::Timestamp time = 1;
-    stats::Rng rng{34};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(overlay.publish(repsys::Feedback{
-            time++, static_cast<repsys::EntityId>(rng.uniform_int(std::uint64_t{500})),
-            9, repsys::Rating::kPositive}));
-    }
-}
-BENCHMARK(BM_OverlayPublish)->Arg(64)->Arg(1024);
-
-void BM_OverlayLookup(benchmark::State& state) {
-    sim::OverlayConfig config;
-    config.nodes = static_cast<std::size_t>(state.range(0));
-    sim::FeedbackOverlay overlay{config};
-    for (repsys::Timestamp t = 1; t <= 1000; ++t) {
-        overlay.publish(repsys::Feedback{
-            t, static_cast<repsys::EntityId>(t % 100), 9, repsys::Rating::kPositive});
-    }
-    stats::Rng rng{35};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            overlay.lookup(static_cast<repsys::EntityId>(rng.uniform_int(std::uint64_t{100})))
-                .size());
-    }
-}
-BENCHMARK(BM_OverlayLookup)->Arg(64)->Arg(1024);
-
-void BM_GossipRound(benchmark::State& state) {
-    std::vector<double> values(static_cast<std::size_t>(state.range(0)));
-    stats::Rng rng{36};
-    for (auto& v : values) v = rng.uniform();
-    sim::GossipNetwork network{values};
-    for (auto _ : state) {
-        network.step();
-        benchmark::DoNotOptimize(network.rounds());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GossipRound)->Arg(128)->Arg(2048);
 
 }  // namespace
 

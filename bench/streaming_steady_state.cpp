@@ -38,7 +38,15 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/multi_test.h"
+#include "core/online.h"
+#include "obs/timer.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <memory>
 
-#include "hpr.h"
+#include "core/two_phase.h"
+#include "repsys/trust.h"
+#include "sim/market.h"
 
 using namespace hpr;
 

@@ -29,7 +29,14 @@
 #include <string>
 
 #include "flags.h"
-#include "hpr.h"
+#include "core/changepoint.h"
+#include "core/config.h"
+#include "core/two_phase.h"
+#include "repsys/history.h"
+#include "repsys/io.h"
+#include "repsys/trust.h"
+#include "sim/generators.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

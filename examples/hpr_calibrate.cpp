@@ -17,7 +17,9 @@
 #include <string>
 
 #include "flags.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "stats/calibrate.h"
+#include "stats/distance.h"
 
 using namespace hpr;
 

@@ -11,7 +11,10 @@
 
 #include <cstdio>
 
-#include "hpr.h"
+#include "core/two_phase.h"
+#include "repsys/trust.h"
+#include "sim/generators.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 

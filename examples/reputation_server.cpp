@@ -4,9 +4,8 @@
 // every server live — flagging mid-stream, recovering after sustained
 // good service, each stream bounded to a retention horizon of complete
 // windows.  On demand the service answers assessments from the standing
-// stream states (the primary path), cross-checks them against the batch
-// two-phase oracle, and reports the EigenTrust / credibility-weighted
-// related-work baselines.  A retention pass at the end shows the
+// stream states (the primary path) and cross-checks them against the
+// batch two-phase oracle.  A retention pass at the end shows the
 // eviction tie-in: dropping cold history from the store also releases
 // the affected screeners.  Every layer records into the process-wide obs
 // registry; the run ends with a metrics dump — Prometheus text by
@@ -40,8 +39,7 @@
 //
 // Exercises: repsys::FeedbackStore (sharded), serve::BatchAssessor's
 // incremental screener bank over core::OnlineScreener,
-// core::TwoPhaseAssessor as the batch oracle, repsys::EigenTrust,
-// repsys::CredibilityWeightedTrust, core::ChangePointDetector,
+// core::TwoPhaseAssessor as the batch oracle, core::ChangePointDetector,
 // obs::Registry + exporters, obs::Tracer, obs::FlightRecorder +
 // obs::Watchdog + obs::BlackBox, obs::IntrospectionTree +
 // net::HttpServer (daemon mode).
@@ -59,7 +57,27 @@
 #include <thread>
 
 #include "flags.h"
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/changepoint.h"
+#include "core/online.h"
+#include "core/two_phase.h"
+#include "net/endpoints.h"
+#include "net/http_server.h"
+#include "net/ingest.h"
+#include "obs/buildinfo.h"
+#include "obs/export.h"
+#include "obs/flightrecorder.h"
+#include "obs/introspection.h"
+#include "obs/metrics.h"
+#include "obs/timer.h"
+#include "obs/trace.h"
+#include "obs/watchdog.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
+#include "stats/calibrate.h"
+#include "stats/rng.h"
 
 using namespace hpr;
 
@@ -478,26 +496,6 @@ int main(int argc, char** argv) {
         std::printf("  at window %zu (tx ~%zu): p %.2f -> %.2f (gain %.1f)\n",
                     cp.window_index, cp.window_index * 10, cp.p_before, cp.p_after,
                     cp.gain);
-    }
-
-    // Related-work baselines over the same store.
-    std::vector<repsys::Feedback> all;
-    for (const auto id : store.servers()) {
-        const auto h = store.history_snapshot(id);
-        all.insert(all.end(), h.feedbacks().begin(), h.feedbacks().end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](const repsys::Feedback& a, const repsys::Feedback& b) {
-                  return a.time < b.time;
-              });
-    const auto eigen = repsys::EigenTrust::compute(all);
-    const auto credibility = repsys::CredibilityWeightedTrust::compute(store);
-    std::printf("\nbaselines (rank servers, but cannot tell honest-90%% from "
-                "engineered-90%%):\n");
-    std::printf("  %-8s %12s %14s\n", "server", "eigentrust", "credibility");
-    for (const auto& s : servers) {
-        std::printf("  %-8u %12.4f %14.4f\n", s.id, eigen.score(s.id),
-                    credibility.at(s.id));
     }
 
     // Retention pass: evicting cold history from the store also releases

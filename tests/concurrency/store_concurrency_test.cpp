@@ -199,10 +199,16 @@ TEST(StoreConcurrency, AssessmentRacesIngestSafely) {
         core::make_calibrator(config.assessment.test.base)};
     const std::vector<EntityId> population = store.servers();
 
+    // Writers start only once an assessor is about to run its first batch,
+    // and every assessor runs at least one batch, so writes and batches
+    // start together however the threads are scheduled and `batches`
+    // cannot stay 0.
+    std::atomic<bool> assessing{false};
     std::atomic<bool> done{false};
     std::vector<std::thread> pool;
     for (std::size_t w = 0; w < 4; ++w) {
         pool.emplace_back([&, w] {
+            while (!assessing.load(std::memory_order_acquire)) std::this_thread::yield();
             stats::Rng rng{0xdeadULL + w};
             for (std::size_t i = 0; i < kExtra; ++i) {
                 const auto server =
@@ -215,14 +221,15 @@ TEST(StoreConcurrency, AssessmentRacesIngestSafely) {
     std::atomic<std::size_t> batches{0};
     for (std::size_t a = 0; a < 2; ++a) {
         pool.emplace_back([&] {
-            while (!done.load(std::memory_order_acquire)) {
+            assessing.store(true, std::memory_order_release);
+            do {
                 const auto results = assessor.assess(store, population);
                 ASSERT_EQ(results.size(), population.size());
                 for (std::size_t i = 0; i < results.size(); ++i) {
                     ASSERT_EQ(results[i].server, population[i]);
                 }
                 batches.fetch_add(1, std::memory_order_relaxed);
-            }
+            } while (!done.load(std::memory_order_acquire));
         });
     }
     for (std::size_t w = 0; w < 4; ++w) pool[w].join();

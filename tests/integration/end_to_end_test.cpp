@@ -8,7 +8,17 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/config.h"
+#include "core/multi_test.h"
+#include "core/two_phase.h"
+#include "repsys/history.h"
+#include "repsys/io.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "sim/generators.h"
+#include "stats/calibrate.h"
+#include "stats/rng.h"
 
 namespace hpr {
 namespace {
@@ -180,19 +190,6 @@ TEST(EndToEnd, LongHistoryScreeningIsFast) {
     EXPECT_TRUE(result.sufficient);
     EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
               2000);
-}
-
-TEST(EndToEnd, UmbrellaHeaderExposesEverything) {
-    // Compile-time check that hpr.h pulls the whole public API together;
-    // touch one symbol per namespace.
-    const stats::Binomial b{10, 0.9};
-    const repsys::AverageTrust trust;
-    const core::BehaviorTestConfig config;
-    const sim::ClientArrivalParams params;
-    EXPECT_EQ(b.n(), 10u);
-    EXPECT_EQ(trust.name(), "average");
-    EXPECT_EQ(config.window_size, 10u);
-    EXPECT_EQ(params.a_new, 0.5);
 }
 
 }  // namespace

@@ -11,7 +11,16 @@
 #include <algorithm>
 #include <limits>
 
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/config.h"
+#include "core/multi_test.h"
+#include "core/two_phase.h"
+#include "sim/attack_cost.h"
+#include "sim/collusion_cost.h"
+#include "sim/detection.h"
+#include "sim/generators.h"
+#include "stats/calibrate.h"
+#include "stats/rng.h"
 
 namespace hpr {
 namespace {

@@ -9,7 +9,26 @@
 #include <map>
 #include <tuple>
 
-#include "hpr.h"
+#include "core/behavior_test.h"
+#include "core/collusion.h"
+#include "core/config.h"
+#include "core/multi_test.h"
+#include "core/online.h"
+#include "core/two_phase.h"
+#include "core/window_stats.h"
+#include "repsys/history.h"
+#include "repsys/store.h"
+#include "repsys/trust.h"
+#include "repsys/types.h"
+#include "serve/batch_assessor.h"
+#include "sim/generators.h"
+#include "stats/beta.h"
+#include "stats/binomial.h"
+#include "stats/calibrate.h"
+#include "stats/distance.h"
+#include "stats/empirical.h"
+#include "stats/reference_cache.h"
+#include "stats/rng.h"
 
 namespace hpr {
 namespace {
@@ -330,38 +349,7 @@ TEST(TwoPhaseProperty, AssessmentPiecesAreCoherentFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 8: overlay lookups return exactly what was published, for
-// random servers and interleavings, as long as replicas survive.
-
-TEST(OverlayProperty, LookupReturnsPublishedFuzz) {
-    stats::Rng rng{2008};
-    for (int trial = 0; trial < 10; ++trial) {
-        sim::OverlayConfig config;
-        config.nodes = 16 + rng.uniform_int(std::uint64_t{100});
-        config.replication = 1 + rng.uniform_int(std::uint64_t{3});
-        config.seed = 100 + trial;
-        sim::FeedbackOverlay overlay{config};
-        std::map<repsys::EntityId, std::vector<repsys::Feedback>> expected;
-        for (int i = 1; i <= 300; ++i) {
-            const auto server =
-                static_cast<repsys::EntityId>(1 + rng.uniform_int(std::uint64_t{20}));
-            const repsys::Feedback f{static_cast<repsys::Timestamp>(i), server,
-                                     static_cast<repsys::EntityId>(500 + i),
-                                     rng.bernoulli(0.8)
-                                         ? repsys::Rating::kPositive
-                                         : repsys::Rating::kNegative};
-            overlay.publish(f);
-            expected[server].push_back(f);
-        }
-        for (const auto& [server, feedbacks] : expected) {
-            ASSERT_EQ(overlay.lookup(server), feedbacks)
-                << "trial " << trial << " server " << server;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Invariant 9: the streaming screener's final evaluation equals the batch
+// Invariant 8: the streaming screener's final evaluation equals the batch
 // multi-test on window-aligned streams, across configurations.
 
 class OnlineBatchParity
@@ -401,7 +389,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, OnlineBatchParity,
                                            std::make_tuple(20u, std::size_t{0}, false)));
 
 // ---------------------------------------------------------------------------
-// Invariant 9b: FeedbackStore round-trips through save/load and eviction
+// Invariant 8b: FeedbackStore round-trips through save/load and eviction
 // under random operation sequences.
 
 TEST(StoreProperty, SaveLoadEvictFuzz) {
@@ -445,7 +433,7 @@ TEST(StoreProperty, SaveLoadEvictFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 10: trust accumulators equal whole-history evaluation at every
+// Invariant 9: trust accumulators equal whole-history evaluation at every
 // prefix, for every registered trust function, under random streams.
 
 TEST(TrustProperty, AccumulatorPrefixConsistencyFuzz) {
@@ -469,7 +457,7 @@ TEST(TrustProperty, AccumulatorPrefixConsistencyFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 11: parallel batch assessment over the sharded store equals
+// Invariant 10: parallel batch assessment over the sharded store equals
 // the seed sequential path — one TwoPhaseAssessor walking history_snapshot(id)
 // server by server — for random tapes, shard counts and thread counts.
 
@@ -536,7 +524,7 @@ TEST(ServingProperty, BatchAssessorEqualsSequentialLoopFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 12: the horizon-bounded screener is a pure optimization.
+// Invariant 11: the horizon-bounded screener is a pure optimization.
 // (a) While the stream still fits max_windows, every observable of the
 // bounded screener equals the unbounded screener's after every single
 // observe.  (b) Once the ring has wrapped, each evaluation must equal
