@@ -22,13 +22,13 @@
 #include "repsys/types.h"
 #include "serve/batch_assessor.h"
 #include "sim/generators.h"
-#include "stats/beta.h"
 #include "stats/binomial.h"
 #include "stats/calibrate.h"
 #include "stats/distance.h"
 #include "stats/empirical.h"
 #include "stats/reference_cache.h"
 #include "stats/rng.h"
+#include "../stats/incomplete_beta.h"
 
 namespace hpr {
 namespace {
@@ -191,7 +191,7 @@ TEST(CrossModuleProperty, BinomialSurvivalMatchesIncompleteBeta) {
                                         rng.uniform_int(std::uint64_t{n}));
         const stats::Binomial binomial{n, p};
         const double via_beta =
-            stats::reg_incomplete_beta(k, static_cast<double>(n - k) + 1.0, p);
+            stats::oracle::reg_incomplete_beta(k, static_cast<double>(n - k) + 1.0, p);
         ASSERT_NEAR(binomial.survival(k), via_beta, 1e-9)
             << "n=" << n << " k=" << k << " p=" << p;
     }
