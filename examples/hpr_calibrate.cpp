@@ -12,12 +12,14 @@
 // at any thread count — parallelism only moves the wall clock.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include "flags.h"
 #include "core/behavior_test.h"
+#include "stats/bounds.h"
 #include "stats/calibrate.h"
 #include "stats/distance.h"
 
@@ -36,11 +38,16 @@ int main(int argc, char** argv) {
     }
     stats::Calibrator calibrator{cal_config};
     const auto& config = calibrator.config();
+    // Lemma 3.1's explicit N: the history length at which p̂ is within one
+    // calibration grid step of p with 95% probability.
+    const std::uint64_t grid_history =
+        stats::lemma31_min_history(1.0 / config.p_grid, 0.05);
     std::printf(
-        "calibrating: kind=%s replications=%zu p-grid=1/%u window-cap=%zu "
-        "threads=%zu\n",
+        "calibrating: kind=%s replications=%zu p-grid=1/%u lemma31-N=%ju "
+        "window-cap=%zu threads=%zu\n",
         stats::to_string(config.kind), config.replications, config.p_grid,
-        config.windows_cap, calibrator.threads());
+        static_cast<std::uintmax_t>(grid_history), config.windows_cap,
+        calibrator.threads());
 
     const auto start = std::chrono::steady_clock::now();
     // The full geometric window grid and the p̂ half deployments care

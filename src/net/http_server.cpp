@@ -630,7 +630,6 @@ void HttpServer::run_loop() {
                             ? static_cast<std::int64_t>(now_ns - sent_ns)
                             : 0,
                         std::memory_order_release);
-                    pings_acked_.fetch_add(1, std::memory_order_relaxed);
                 }
                 continue;
             }

@@ -184,11 +184,6 @@ public:
     /// when no ping has been acknowledged yet.
     [[nodiscard]] double ping_lag_seconds() const noexcept;
 
-    /// Lifetime pings acknowledged by the loop.
-    [[nodiscard]] std::uint64_t pings_acked() const noexcept {
-        return pings_acked_.load(std::memory_order_relaxed);
-    }
-
     /// Lifetime totals of THIS server instance (the obs registry
     /// aggregates across instances): completed responses, 503
     /// admission rejections, 408 request timeouts, 400/431/405 parse
@@ -239,7 +234,6 @@ private:
 
     std::atomic<std::uint64_t> ping_sent_ns_{0};  ///< 0 = no ping in flight
     std::atomic<std::int64_t> ping_lag_ns_{-1};   ///< -1 = none acked yet
-    std::atomic<std::uint64_t> pings_acked_{0};
 
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> rejected_{0};

@@ -575,10 +575,6 @@ TraceContext* TraceContext::current() noexcept {
     return t_current;
 }
 
-double TraceContext::elapsed_seconds() const {
-    return record_ ? watch_.seconds() : 0.0;
-}
-
 void TraceSpan::open(const char* name) noexcept {
     TraceContext* context = TraceContext::current();
     if (context == nullptr) return;

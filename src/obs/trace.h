@@ -258,9 +258,6 @@ public:
         return record_ ? &*record_ : nullptr;
     }
 
-    /// Seconds since the trace started (0 when not sampled).
-    [[nodiscard]] double elapsed_seconds() const;
-
 private:
     friend class TraceSpan;
 

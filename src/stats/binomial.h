@@ -72,18 +72,11 @@ public:
     /// Full pmf table over {0..n} (size n+1).
     [[nodiscard]] const std::vector<double>& pmf_table() const noexcept { return pmf_; }
 
-    /// Borrowed contiguous views of the precomputed tables.  The distance
-    /// kernels (stats/distance.h) consume these directly, so shared cached
-    /// models (stats/reference_cache.h) are read without any copy.
+    /// Borrowed contiguous view of the pmf table.  The distance kernels
+    /// (stats/distance.h) consume it directly, so shared cached models
+    /// (stats/reference_cache.h) are read without any copy.
     [[nodiscard]] std::span<const double> pmf_span() const noexcept {
         return {pmf_.data(), pmf_.size()};
-    }
-    [[nodiscard]] std::span<const double> cdf_span() const noexcept {
-        return {cdf_.data(), cdf_.size()};
-    }
-    /// survival_span()[k] = P(X >= k).
-    [[nodiscard]] std::span<const double> survival_span() const noexcept {
-        return {sf_.data(), sf_.size()};
     }
 
     /// Draw one variate (inversion from the precomputed cdf; O(log n)).
@@ -99,11 +92,6 @@ private:
     std::vector<double> cdf_;  ///< cdf_[k] = P(X <= k), k in {0..n}
     std::vector<double> sf_;   ///< sf_[k] = P(X >= k), summed from the top
 };
-
-/// One Bernoulli(p) outcome per call without building a Binomial object.
-[[nodiscard]] inline bool bernoulli_trial(Rng& rng, double p) noexcept {
-    return rng.bernoulli(p);
-}
 
 }  // namespace hpr::stats
 
