@@ -394,13 +394,13 @@ IntrospectionPage IngestService::assess_page(
     }
     const auto server = static_cast<repsys::EntityId>(id);
 
-    std::vector<serve::ServerAssessment> results;
+    serve::BatchAssessor::ServedAssessment served;
     try {
-        results = assessor_.assess(store_, {server});
+        served = assessor_.assess_served(store_, server);
     } catch (const std::out_of_range&) {
         return error_text(404, "unknown server: " + std::to_string(server));
     }
-    const core::Assessment& assessment = results.front().assessment;
+    const core::Assessment& assessment = served.assessment;
     if (assessment.verdict == core::Verdict::kSuspicious) {
         metrics_->assess_suspicious.increment();
     }
@@ -410,10 +410,8 @@ IntrospectionPage IngestService::assess_page(
     append_kv(body, "verdict", core::to_string(assessment.verdict));
     append_kv(body, "trust",
               assessment.trust ? std::to_string(*assessment.trust) : "none");
-    append_kv(body, "history_length",
-              std::to_string(store_.history_length(server).value_or(0)));
-    append_kv(body, "stream_state",
-              core::to_string(assessor_.stream_state(server)));
+    append_kv(body, "history_length", std::to_string(served.history_length));
+    append_kv(body, "stream_state", core::to_string(served.stream_state));
     metrics_->assess_seconds.observe(seconds_since(start));
 
     IntrospectionPage page;

@@ -99,8 +99,8 @@ void FeedbackStore::submit(const Feedback& feedback) {
     {
         const auto lock = lock_shard(shard);
         auto [it, inserted] = shard.logs.try_emplace(feedback.server);
-        it->second.append(feedback);  // throws on time regression, state intact
-        log_size = it->second.size();
+        it->second.history.append(feedback);  // throws on time regression, state intact
+        log_size = it->second.history.size();
         shard_servers = shard.logs.size();
         if (inserted) server_count_.fetch_add(1, std::memory_order_relaxed);
         total_.fetch_add(1, std::memory_order_relaxed);
@@ -140,10 +140,10 @@ void FeedbackStore::ingest_batch(const std::vector<Feedback>& feedbacks) {
             auto [it, inserted] = pending_last.try_emplace(f.server);
             if (inserted) {
                 const auto log = shard.logs.find(f.server);
-                if (log == shard.logs.end() || log->second.empty()) {
+                if (log == shard.logs.end() || log->second.history.empty()) {
                     it->second = f.time;
                 } else {
-                    it->second = log->second.feedbacks().back().time;
+                    it->second = log->second.history.feedbacks().back().time;
                 }
             }
             if (f.time < it->second) {
@@ -177,8 +177,9 @@ void FeedbackStore::ingest_batch(const std::vector<Feedback>& feedbacks) {
             const Feedback& f = feedbacks[i];
             auto [it, inserted] = shard.logs.try_emplace(f.server);
             if (inserted) ++new_servers;
-            it->second.append(f);
-            if (it->second.size() > max_log) max_log = it->second.size();
+            TransactionHistory& history = it->second.history;
+            history.append(f);
+            if (history.size() > max_log) max_log = history.size();
         }
         if (shard.logs.size() > max_occupancy) max_occupancy = shard.logs.size();
     }
@@ -210,11 +211,18 @@ bool FeedbackStore::contains(EntityId server) const {
 }
 
 std::optional<std::size_t> FeedbackStore::history_length(EntityId server) const {
+    const auto extent = history_extent(server);
+    if (!extent) return std::nullopt;
+    return extent->length;
+}
+
+std::optional<FeedbackStore::HistoryExtent> FeedbackStore::history_extent(
+    EntityId server) const {
     const Shard& shard = shard_for(server);
     const auto lock = lock_shard(shard);
     const auto it = shard.logs.find(server);
     if (it == shard.logs.end()) return std::nullopt;
-    return it->second.size();
+    return HistoryExtent{it->second.history.size(), it->second.trimmed};
 }
 
 std::vector<FeedbackStore::ShardOccupancy> FeedbackStore::shard_occupancy() const {
@@ -223,7 +231,7 @@ std::vector<FeedbackStore::ShardOccupancy> FeedbackStore::shard_occupancy() cons
         const auto lock = lock_shard(*shards_[i]);
         occupancy[i].servers = shards_[i]->logs.size();
         for (const auto& [server, log] : shards_[i]->logs) {
-            occupancy[i].feedbacks += log.size();
+            occupancy[i].feedbacks += log.history.size();
         }
     }
     return occupancy;
@@ -237,7 +245,7 @@ TransactionHistory FeedbackStore::history_snapshot(EntityId server) const {
         throw std::out_of_range("FeedbackStore::history_snapshot: unknown server " +
                                 std::to_string(server));
     }
-    return it->second;  // copied while the lock is held
+    return it->second.history;  // copied while the lock is held
 }
 
 std::size_t FeedbackStore::evict_before(Timestamp cutoff,
@@ -249,7 +257,7 @@ std::size_t FeedbackStore::evict_before(Timestamp cutoff,
         Shard& shard = *shard_ptr;
         const auto lock = lock_shard(shard);
         for (auto it = shard.logs.begin(); it != shard.logs.end();) {
-            const auto& feedbacks = it->second.feedbacks();
+            const auto& feedbacks = it->second.history.feedbacks();
             const auto keep_from = std::lower_bound(
                 feedbacks.begin(), feedbacks.end(), cutoff,
                 [](const Feedback& f, Timestamp t) { return f.time < t; });
@@ -264,7 +272,8 @@ std::size_t FeedbackStore::evict_before(Timestamp cutoff,
                     ++forgotten_count;
                     continue;
                 }
-                it->second = TransactionHistory{std::move(kept)};
+                it->second.history = TransactionHistory{std::move(kept)};
+                it->second.trimmed += dropped;
             }
             ++it;
         }
@@ -295,7 +304,7 @@ void FeedbackStore::save(const std::string& directory) const {
             const auto path =
                 (std::filesystem::path{directory} / (std::to_string(server) + ".csv"))
                     .string();
-            save_csv(path, log);
+            save_csv(path, log.history);
         }
     }
 }
@@ -321,7 +330,9 @@ FeedbackStore FeedbackStore::load(const std::string& directory,
             }
         }
         const std::size_t size = log.size();
-        if (!store.shard_for(server).logs.emplace(server, std::move(log)).second) {
+        if (!store.shard_for(server)
+                 .logs.emplace(server, ServerLog{std::move(log)})
+                 .second) {
             throw std::runtime_error("FeedbackStore::load: '" + path +
                                      "' repeats server " + std::to_string(server) +
                                      ", already loaded from another file");

@@ -127,6 +127,23 @@ public:
     /// unlike a contains()/history_snapshot() pair racing eviction.
     [[nodiscard]] std::optional<std::size_t> history_length(EntityId server) const;
 
+    /// Where a server's retained log sits in everything ever recorded for
+    /// it (see history_extent()).
+    struct HistoryExtent {
+        std::size_t length = 0;   ///< feedbacks held now
+        std::size_t trimmed = 0;  ///< feedbacks evict_before ever cut from its front
+    };
+
+    /// A server's length and trimmed count, read together under one shard
+    /// lock without copying the log; std::nullopt for unknown servers.
+    /// `trimmed == 0` means the log still starts at the server's first
+    /// recorded feedback, so a streaming consumer that has folded exactly
+    /// `length` of the server's feedbacks, in order, has folded this very
+    /// log.  Length alone cannot say that: eviction followed by new
+    /// feedback can bring it back to the same number.  A forgotten
+    /// server's count goes with it; a server recorded again starts at 0.
+    [[nodiscard]] std::optional<HistoryExtent> history_extent(EntityId server) const;
+
     /// Point-in-time occupancy of one shard (see shard_occupancy()).
     struct ShardOccupancy {
         std::size_t servers = 0;    ///< server logs living on this shard
@@ -165,11 +182,17 @@ public:
                                             std::size_t shard_count = kDefaultShards);
 
 private:
+    /// One server's retained log and how much eviction cut from its front.
+    struct ServerLog {
+        TransactionHistory history;
+        std::size_t trimmed = 0;
+    };
+
     /// One lock stripe: a mutex and the logs of every server that hashes
     /// onto it.  Heap-allocated so the store stays movable.
     struct Shard {
         mutable std::mutex mutex;
-        std::map<EntityId, TransactionHistory> logs;
+        std::map<EntityId, ServerLog> logs;
     };
 
     /// Lock a shard, counting contended acquisitions.

@@ -26,6 +26,10 @@ public:
         return std::make_unique<AverageAccumulator>(*this);
     }
 
+    [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+        return sizeof(*this);
+    }
+
 private:
     double prior_;
     std::uint64_t good_ = 0;
@@ -45,6 +49,10 @@ public:
 
     [[nodiscard]] std::unique_ptr<TrustAccumulator> clone() const override {
         return std::make_unique<WeightedAccumulator>(*this);
+    }
+
+    [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+        return sizeof(*this);
     }
 
 private:
@@ -69,6 +77,10 @@ public:
 
     [[nodiscard]] std::unique_ptr<TrustAccumulator> clone() const override {
         return std::make_unique<BetaAccumulator>(*this);
+    }
+
+    [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+        return sizeof(*this);
     }
 
 private:
@@ -115,6 +127,10 @@ public:
         return std::make_unique<TrustGuardAccumulator>(*this);
     }
 
+    [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+        return sizeof(*this);
+    }
+
 private:
     double alpha_;
     double beta_;
@@ -144,6 +160,10 @@ public:
 
     [[nodiscard]] std::unique_ptr<TrustAccumulator> clone() const override {
         return std::make_unique<DecayAccumulator>(*this);
+    }
+
+    [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+        return sizeof(*this);
     }
 
 private:

@@ -10,7 +10,8 @@
 ///  * TrustFunction::evaluate — whole-history evaluation;
 ///  * TrustFunction::make_accumulator — an O(1)-per-feedback streaming
 ///    evaluator, used by simulated strategic attackers that must score
-///    hypothetical futures thousands of times per run.
+///    hypothetical futures thousands of times per run, and by the serving
+///    layer's screener bank to keep each stream's trust current.
 ///
 /// Implementations:
 ///  * AverageTrust   — good/total ratio (paper's first baseline; [13]
@@ -22,6 +23,7 @@
 ///  * DecayTrust     — geometric time-decay weights w_i ∝ γ^(n-i),
 ///    Σw_i = 1 (the decay-factor family of [14, 18, 19]).
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -46,6 +48,9 @@ public:
     /// Deep copy — lets a strategic attacker branch a hypothetical future
     /// off its real history in O(1).
     [[nodiscard]] virtual std::unique_ptr<TrustAccumulator> clone() const = 0;
+
+    /// Resident bytes of this evaluator (constant for its life).
+    [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
 };
 
 /// A trust function: 2^F x V -> [0, 1] in the paper's notation.

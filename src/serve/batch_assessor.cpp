@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -64,12 +65,27 @@ constexpr std::size_t kStreamNodeOverhead =
 /// Lock stripes of the screener bank.
 constexpr std::size_t kScreenerStripes = 16;
 
+/// One server's stream in the bank: the screener judging phase 1 and the
+/// phase-2 trust accumulator, both fed the same outcomes in the same order.
+struct Stream {
+    core::OnlineScreener screener;
+    std::unique_ptr<repsys::TrustAccumulator> trust;
+    std::size_t folded = 0;  ///< feedbacks `trust` has folded
+};
+
+/// Resident bytes of one stream, map node included.
+std::size_t stream_bytes(const Stream& stream) {
+    return stream.screener.memory_bytes() + sizeof(Stream) -
+           sizeof(core::OnlineScreener) + stream.trust->memory_bytes() +
+           kStreamNodeOverhead;
+}
+
 }  // namespace
 
 /// One lock stripe of the streaming screener bank.
 struct BatchAssessor::ScreenerStripe {
     mutable std::mutex mutex;
-    std::map<repsys::EntityId, core::OnlineScreener> screeners;
+    std::map<repsys::EntityId, Stream> streams;
 };
 
 BatchAssessor::BatchAssessor(BatchAssessorConfig config,
@@ -100,21 +116,25 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
     std::size_t created_bytes = 0;
     {
         const std::lock_guard<std::mutex> lock{stripe.mutex};
-        auto it = stripe.screeners.find(feedback.server);
-        if (it == stripe.screeners.end()) {
+        auto it = stripe.streams.find(feedback.server);
+        if (it == stripe.streams.end()) {
             core::OnlineScreenerConfig screener_config;
             screener_config.test = config_.assessment.test;
             screener_config.max_windows = config_.screener_horizon;
-            it = stripe.screeners
+            it = stripe.streams
                      .emplace(feedback.server,
-                              core::OnlineScreener{screener_config,
-                                                   assessor_.calibrator()})
+                              Stream{core::OnlineScreener{screener_config,
+                                                          assessor_.calibrator()},
+                                     assessor_.trust_function().make_accumulator()})
                      .first;
-            it->second.set_entity(feedback.server);
+            it->second.screener.set_entity(feedback.server);
             created = true;
-            created_bytes = it->second.memory_bytes() + kStreamNodeOverhead;
+            created_bytes = stream_bytes(it->second);
         }
-        it->second.observe(feedback);
+        Stream& stream = it->second;
+        stream.trust->update(feedback.good());
+        ++stream.folded;
+        stream.screener.observe(feedback);
     }
     ServeMetrics& metrics = serve_metrics();
     metrics.observes.increment();
@@ -127,18 +147,18 @@ void BatchAssessor::observe(const repsys::Feedback& feedback) {
 core::StreamState BatchAssessor::stream_state(repsys::EntityId server) const {
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
-    const auto it = stripe.screeners.find(server);
-    return it == stripe.screeners.end() ? core::StreamState::kInsufficient
-                                        : it->second.state();
+    const auto it = stripe.streams.find(server);
+    return it == stripe.streams.end() ? core::StreamState::kInsufficient
+                                      : it->second.screener.state();
 }
 
 std::optional<BatchAssessor::StreamInfo> BatchAssessor::stream_info(
     repsys::EntityId server) const {
     const ScreenerStripe& stripe = stripe_for(server);
     const std::lock_guard<std::mutex> lock{stripe.mutex};
-    const auto it = stripe.screeners.find(server);
-    if (it == stripe.screeners.end()) return std::nullopt;
-    const core::OnlineScreener& screener = it->second;
+    const auto it = stripe.streams.find(server);
+    if (it == stripe.streams.end()) return std::nullopt;
+    const core::OnlineScreener& screener = it->second.screener;
     StreamInfo info;
     info.state = screener.state();
     info.transactions = screener.transactions();
@@ -159,10 +179,10 @@ std::size_t BatchAssessor::drop_streams(std::span<const repsys::EntityId> server
     for (const repsys::EntityId server : servers) {
         ScreenerStripe& stripe = stripe_for(server);
         const std::lock_guard<std::mutex> lock{stripe.mutex};
-        const auto it = stripe.screeners.find(server);
-        if (it == stripe.screeners.end()) continue;
-        released_bytes += it->second.memory_bytes() + kStreamNodeOverhead;
-        stripe.screeners.erase(it);
+        const auto it = stripe.streams.find(server);
+        if (it == stripe.streams.end()) continue;
+        released_bytes += stream_bytes(it->second);
+        stripe.streams.erase(it);
         ++dropped;
     }
     if (dropped > 0) {
@@ -178,7 +198,7 @@ std::size_t BatchAssessor::evict_streams(const repsys::FeedbackStore& store) {
     std::vector<repsys::EntityId> stale;
     for (const auto& stripe : stripes_) {
         const std::lock_guard<std::mutex> lock{stripe->mutex};
-        for (const auto& [server, screener] : stripe->screeners) {
+        for (const auto& [server, stream] : stripe->streams) {
             if (!store.contains(server)) stale.push_back(server);
         }
     }
@@ -189,7 +209,7 @@ std::size_t BatchAssessor::tracked_streams() const {
     std::size_t total = 0;
     for (const auto& stripe : stripes_) {
         const std::lock_guard<std::mutex> lock{stripe->mutex};
-        total += stripe->screeners.size();
+        total += stripe->streams.size();
     }
     return total;
 }
@@ -198,45 +218,90 @@ std::size_t BatchAssessor::stream_memory_bytes() const {
     std::size_t total = 0;
     for (const auto& stripe : stripes_) {
         const std::lock_guard<std::mutex> lock{stripe->mutex};
-        for (const auto& [server, screener] : stripe->screeners) {
-            total += screener.memory_bytes() + kStreamNodeOverhead;
+        for (const auto& [server, stream] : stripe->streams) {
+            total += stream_bytes(stream);
         }
     }
     serve_metrics().screener_bytes.set(static_cast<std::int64_t>(total));
     return total;
 }
 
-core::Assessment BatchAssessor::assess_one(const repsys::FeedbackStore& store,
-                                           repsys::EntityId server,
-                                           bool use_streams) const {
+BatchAssessor::ServedAssessment BatchAssessor::assess_one(
+    const repsys::FeedbackStore& store, repsys::EntityId server,
+    bool use_streams) const {
+    ServedAssessment served;
+    core::Assessment& assessment = served.assessment;
     if (use_streams) {
         // The standing screener state replaces the O(n) phase-1 rescan
         // once the stream has been judged at least once; insufficient
         // streams fall through to the full scan below.
-        switch (stream_state(server)) {
-            case core::StreamState::kSuspicious: {
+        double stream_trust = 0.0;
+        std::size_t folded = 0;
+        {
+            const ScreenerStripe& stripe = stripe_for(server);
+            const std::lock_guard<std::mutex> lock{stripe.mutex};
+            const auto it = stripe.streams.find(server);
+            if (it != stripe.streams.end()) {
+                served.stream_state = it->second.screener.state();
+                stream_trust = it->second.trust->value();
+                folded = it->second.folded;
+            }
+        }
+        switch (served.stream_state) {
+            case core::StreamState::kSuspicious:
                 serve_metrics().shortcuts.increment();
-                core::Assessment assessment;
                 assessment.verdict = core::Verdict::kSuspicious;
                 assessment.screening.passed = false;
                 assessment.screening.sufficient = true;
-                return assessment;
-            }
+                return served;
             case core::StreamState::kClear: {
                 serve_metrics().shortcuts.increment();
-                core::Assessment assessment;
                 assessment.verdict = core::Verdict::kAssessed;
                 assessment.screening.passed = true;
                 assessment.screening.sufficient = true;
-                assessment.trust =
-                    assessor_.trust_function().evaluate(
-                        store.history_snapshot(server).view());
-                return assessment;
+                // The stream's trust is evaluate() over the feedbacks it
+                // folded.  Those are the store's log exactly when nothing
+                // was trimmed from the log's front and the counts agree
+                // (both sides see each server's feedbacks in commit
+                // order); otherwise phase 2 re-folds a snapshot.
+                const auto extent = store.history_extent(server);
+                if (!extent) {
+                    throw std::out_of_range("BatchAssessor: unknown server " +
+                                            std::to_string(server));
+                }
+                if (extent->trimmed == 0 && extent->length == folded) {
+                    assessment.trust = stream_trust;
+                    served.history_length = extent->length;
+                } else {
+                    const repsys::TransactionHistory history =
+                        store.history_snapshot(server);
+                    assessment.trust =
+                        assessor_.trust_function().evaluate(history.view());
+                    served.history_length = history.size();
+                }
+                return served;
             }
             case core::StreamState::kInsufficient: break;
         }
     }
-    return assessor_.assess(store.history_snapshot(server));
+    const repsys::TransactionHistory history = store.history_snapshot(server);
+    served.history_length = history.size();
+    assessment = assessor_.assess(history);
+    return served;
+}
+
+BatchAssessor::ServedAssessment BatchAssessor::assess_served(
+    const repsys::FeedbackStore& store, repsys::EntityId server) const {
+    ServeMetrics& metrics = serve_metrics();
+    metrics.batches.increment();
+    metrics.batch_servers.increment();
+    const obs::ScopedTimer timer{metrics.batch_seconds};
+    ServedAssessment served = assess_one(store, server, /*use_streams=*/true);
+    if (served.stream_state == core::StreamState::kSuspicious) {
+        // The suspicious shortcut never reads the store.
+        served.history_length = store.history_length(server).value_or(0);
+    }
+    return served;
 }
 
 std::vector<ServerAssessment> BatchAssessor::assess_impl(
@@ -254,7 +319,8 @@ std::vector<ServerAssessment> BatchAssessor::assess_impl(
     // ("Assessment hot path").
     pool_.parallel_for(servers.size(), [&](std::size_t i) {
         results[i].server = servers[i];
-        results[i].assessment = assess_one(store, servers[i], use_streams);
+        results[i].assessment =
+            assess_one(store, servers[i], use_streams).assessment;
     });
     return results;
 }

@@ -15,12 +15,29 @@
 /// **Primary — the streaming screener bank.**  One
 /// core::OnlineScreener per observed server, lock-striped like the
 /// store, each bounded to `screener_horizon` complete windows of
-/// retained state.  Feedbacks stream in through observe() at O(1)
-/// amortized per feedback; assess() answers from the screener's standing
-/// state — suspicious streams are rejected without the O(n) history
-/// rescan, clear streams only pay phase 2 — and falls back to the full
-/// two-phase scan while a stream has not accumulated enough windows to
-/// be judged.  The bank's memory is bounded: horizon-bounded rings per
+/// retained state, and beside it one repsys::TrustAccumulator of the
+/// phase-2 trust function with a count of the feedbacks it has folded.
+/// Feedbacks stream in through observe() at O(1) amortized per feedback,
+/// both halves fed the same outcomes under the same stripe lock.
+/// assess() answers from the stream's standing state:
+///
+///  * suspicious streams are rejected without the O(n) history rescan;
+///  * clear streams read the folded trust, one double, in O(1).  That
+///    value is TrustFunction::evaluate over the folded feedbacks, which
+///    are the store's log exactly when FeedbackStore::history_extent()
+///    reports nothing trimmed from the log's front and a length equal to
+///    the folded count.  Otherwise — the stream was created after the
+///    store already held feedback for its server, evict_before trimmed
+///    the log, or the two sides are mid-batch — phase 2 re-folds a
+///    history snapshot, so the trust served is always that of a log the
+///    store held;
+///  * insufficient streams, not yet judged, take the full two-phase scan.
+///
+/// The fold matches the store as long as each server's feedbacks reach
+/// observe() in the order the store committed them, and the streams of
+/// servers the store forgets are dropped (drop_streams() with
+/// evict_before's `forgotten` list) before the server is recorded
+/// again.  The bank's memory is bounded: horizon-bounded rings per
 /// stream, and drop_streams()/evict_streams() tie stream retention to
 /// FeedbackStore's eviction machinery, so evicting a server's cold
 /// history also releases its screener.  Streaming verdicts follow the
@@ -115,8 +132,24 @@ public:
         const repsys::FeedbackStore& store,
         const std::vector<repsys::EntityId>& servers) const;
 
-    /// Feed one live feedback to its server's screener (created on first
-    /// sight).  O(1) amortized.
+    /// One server's assess() result with the stream state it was answered
+    /// from and the length of the history its trust covers.
+    struct ServedAssessment {
+        core::Assessment assessment;
+        core::StreamState stream_state = core::StreamState::kInsufficient;
+        std::size_t history_length = 0;  ///< 0 for a server the store forgot
+    };
+
+    /// assess() of a single server, inline on the caller, returning what
+    /// it read on the way: each of the bank stripe and the store shard is
+    /// locked once (twice on the clear-stream snapshot fallback).
+    /// \throws std::out_of_range if the store does not know the server
+    ///         and its stream is not suspicious.
+    [[nodiscard]] ServedAssessment assess_served(const repsys::FeedbackStore& store,
+                                                 repsys::EntityId server) const;
+
+    /// Feed one live feedback to its server's stream (created on first
+    /// sight): screener and trust accumulator.  O(1) amortized.
     void observe(const repsys::Feedback& feedback);
 
     /// Standing stream state of a server's screener; kInsufficient for
@@ -159,12 +192,12 @@ public:
     [[nodiscard]] std::size_t tracked_streams() const;
 
     /// Resident bytes of the screener bank (screener objects + ring
-    /// storage + an estimate of the map-node overhead).  The
-    /// hpr_serving_screener_bytes gauge is maintained incrementally as
-    /// streams are created and dropped — exact under a bounded horizon,
-    /// where a screener's footprint is constant for life — and this
-    /// full recount republishes it (the authoritative value when
-    /// screener_horizon is 0 and rings grow).
+    /// storage + trust accumulators + an estimate of the map-node
+    /// overhead).  The hpr_serving_screener_bytes gauge is maintained
+    /// incrementally as streams are created and dropped — exact under a
+    /// bounded horizon, where a stream's footprint is constant for life —
+    /// and this full recount republishes it (the authoritative value
+    /// when screener_horizon is 0 and rings grow).
     [[nodiscard]] std::size_t stream_memory_bytes() const;
 
     /// Resolved executor count (pool workers + the caller).
@@ -180,7 +213,7 @@ private:
 
     /// Assess one server: streaming shortcut when possible (and allowed),
     /// else the full two-phase scan of a shard-consistent snapshot.
-    [[nodiscard]] core::Assessment assess_one(const repsys::FeedbackStore& store,
+    [[nodiscard]] ServedAssessment assess_one(const repsys::FeedbackStore& store,
                                               repsys::EntityId server,
                                               bool use_streams) const;
 

@@ -3,13 +3,19 @@
 // address as well as plain builds.  Observers stream disjoint server
 // populations while assessment callers and eviction churn hammer the
 // same lock-striped bank; afterwards conservation invariants are
-// asserted: no lost streams, exact eviction accounting, and screener
-// states that match a single-threaded replay of each surviving tape.
+// asserted: no lost streams, exact eviction accounting, screener states
+// that match a single-threaded replay of each surviving tape, and served
+// trust values that are always the trust of some prefix of the tape.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -187,6 +193,122 @@ TEST(ScreenerBankStress, ObserversAssessorsAndEvictionChurn) {
         for (const bool good : make_outcomes(s, kPerServer)) replay.observe(good);
         ASSERT_EQ(bank.stream_state(s), replay.state()) << "server " << s;
     }
+}
+
+// Writers commit known per-server tapes with ingest_batch and stream
+// each committed batch through observe(), as the ingest path does, while
+// assessors read the bank.  A clear stream's trust comes from its folded
+// accumulator when that covers the store's log and from a snapshot
+// otherwise; either way every trust served mid-race must be evaluate()
+// over some prefix of the server's tape, and once the writers stop it
+// must be evaluate() over the store's history, bit for bit.  The
+// single-server form also reports the history length it answered for, and
+// its trust must be the trust of exactly that prefix.
+TEST(ScreenerBankStress, StreamedTrustIsAlwaysAPrefixOfTheTape) {
+    constexpr std::size_t kServers = 16;
+    constexpr std::size_t kWriters = 4;
+    constexpr std::size_t kPerServer = 600;
+    constexpr std::size_t kChunk = 25;
+    const auto config = bank_config();
+    BatchAssessor bank{config, beta_trust(), shared_cal()};
+    repsys::FeedbackStore store{8};
+    const repsys::TrustFunction& trust = bank.assessor().trust_function();
+
+    std::vector<repsys::EntityId> servers;
+    std::vector<std::vector<repsys::Feedback>> tapes(kServers + 1);
+    // prefix_trust[s][k]: the bits of evaluate() over server s's first k records.
+    std::vector<std::vector<std::uint64_t>> prefix_trust(kServers + 1);
+    for (repsys::EntityId s = 1; s <= kServers; ++s) {
+        servers.push_back(s);
+        const auto outcomes = make_outcomes(s, kPerServer);
+        for (std::size_t i = 0; i < kPerServer; ++i) {
+            tapes[s].push_back(fb(static_cast<repsys::Timestamp>(i + 1), s, outcomes[i]));
+        }
+        const std::span<const repsys::Feedback> tape{tapes[s]};
+        for (std::size_t k = 0; k <= kPerServer; ++k) {
+            prefix_trust[s].push_back(
+                std::bit_cast<std::uint64_t>(trust.evaluate(tape.first(k))));
+        }
+    }
+    // Commits tape records [from, from + kChunk) of each given server as
+    // one batch, then observes them in commit order.
+    const auto commit_chunk = [&](const std::vector<repsys::EntityId>& owned,
+                                  std::size_t from) {
+        std::vector<repsys::Feedback> batch;
+        for (const repsys::EntityId s : owned) {
+            batch.insert(batch.end(), tapes[s].begin() + static_cast<std::ptrdiff_t>(from),
+                         tapes[s].begin() + static_cast<std::ptrdiff_t>(from + kChunk));
+        }
+        store.ingest_batch(batch);
+        for (const repsys::Feedback& feedback : batch) bank.observe(feedback);
+    };
+    // Every server is in the store before the race, so assess() never
+    // meets an unknown id.
+    commit_chunk(servers, 0);
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> served{0};
+    std::atomic<std::size_t> off_tape{0};
+    std::vector<std::thread> writers;
+    for (std::size_t t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&, t] {
+            std::vector<repsys::EntityId> owned;
+            for (const repsys::EntityId s : servers) {
+                if (s % kWriters == t) owned.push_back(s);
+            }
+            for (std::size_t from = kChunk; from < kPerServer; from += kChunk) {
+                commit_chunk(owned, from);
+                std::this_thread::yield();  // let the assessors interleave
+            }
+        });
+    }
+    std::vector<std::thread> assessors;
+    assessors.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            for (const auto& result : bank.assess(store, servers)) {
+                if (!result.assessment.trust) continue;
+                served.fetch_add(1, std::memory_order_relaxed);
+                const auto& prefixes = prefix_trust[result.server];
+                if (std::find(prefixes.begin(), prefixes.end(),
+                              std::bit_cast<std::uint64_t>(*result.assessment.trust)) ==
+                    prefixes.end()) {
+                    off_tape.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        }
+    });
+    assessors.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            for (const repsys::EntityId s : servers) {
+                const auto result = bank.assess_served(store, s);
+                if (!result.assessment.trust) continue;
+                served.fetch_add(1, std::memory_order_relaxed);
+                if (result.history_length > kPerServer ||
+                    prefix_trust[s][result.history_length] !=
+                        std::bit_cast<std::uint64_t>(*result.assessment.trust)) {
+                    off_tape.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+        }
+    });
+    for (auto& writer : writers) writer.join();
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& assessor : assessors) assessor.join();
+
+    EXPECT_GT(served.load(), 0u);
+    EXPECT_EQ(off_tape.load(), 0u) << "a served trust is no prefix of its tape";
+    std::size_t clear = 0;
+    for (const repsys::EntityId s : servers) {
+        ASSERT_EQ(store.history_length(s), std::optional<std::size_t>{kPerServer});
+        const auto result = bank.assess(store, {s});
+        if (bank.stream_state(s) == core::StreamState::kClear) ++clear;
+        if (!result[0].assessment.trust) continue;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(*result[0].assessment.trust),
+                  std::bit_cast<std::uint64_t>(
+                      trust.evaluate(store.history_snapshot(s).view())))
+            << "server " << s;
+    }
+    EXPECT_GT(clear, kServers / 2) << "too few clear streams to exercise the fold";
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "repsys/store.h"
 #include "repsys/trust.h"
 #include "serve/batch_assessor.h"
+#include "stats/rng.h"
 
 namespace hpr::net {
 namespace {
@@ -275,6 +276,50 @@ TEST(IngestService, AssessPageAnswersVerdictsAndErrors) {
     EXPECT_EQ(service.assess_page(garbage).status, 400);
     obs::IntrospectionRequest unknown{"/assess", "server=777"};
     EXPECT_EQ(service.assess_page(unknown).status, 404);
+}
+
+// The page is served from one assess_served() call; its body must be
+// the one the separate reads (assess, history_length, stream_state)
+// render, byte for byte, in every stream state.
+TEST(IngestService, AssessPageBodyEqualsSeparateReads) {
+    repsys::FeedbackStore store;
+    auto assessor = make_assessor();
+    IngestService service{store, assessor};
+    stats::Rng rng{0xa55e55ULL};
+    std::string body;
+    for (int t = 1; t <= 800; ++t) {  // server 1: honest, p = 0.9
+        body += "1 " + std::to_string(t) + (rng.bernoulli(0.9) ? " 1\n" : " 0\n");
+    }
+    for (int t = 1; t <= 400; ++t) {  // server 2: 300 good, then 100 bad
+        body += "2 " + std::to_string(t) + (t <= 300 ? " 1\n" : " 0\n");
+    }
+    for (int t = 1; t <= 5; ++t) {  // server 3: too short to judge
+        body += "3 " + std::to_string(t) + " 1\n";
+    }
+    HttpRequest request;
+    request.method = "POST";
+    request.body = body;
+    ASSERT_EQ(service.handle_ingest(request).status, 200);
+    ASSERT_EQ(assessor.stream_state(1), core::StreamState::kClear);
+    ASSERT_EQ(assessor.stream_state(2), core::StreamState::kSuspicious);
+    ASSERT_EQ(assessor.stream_state(3), core::StreamState::kInsufficient);
+
+    for (const repsys::EntityId id : {1u, 2u, 3u}) {
+        const core::Assessment assessment =
+            assessor.assess(store, {id}).front().assessment;
+        const std::string expected =
+            "server " + std::to_string(id) + "\nverdict " +
+            core::to_string(assessment.verdict) + "\ntrust " +
+            (assessment.trust ? std::to_string(*assessment.trust) : "none") +
+            "\nhistory_length " +
+            std::to_string(store.history_length(id).value_or(0)) +
+            "\nstream_state " + core::to_string(assessor.stream_state(id)) +
+            "\n";
+        const obs::IntrospectionPage page = service.assess_page(
+            obs::IntrospectionRequest{"/assess", "server=" + std::to_string(id)});
+        EXPECT_EQ(page.status, 200);
+        EXPECT_EQ(page.body, expected) << "server " << id;
+    }
 }
 
 TEST(IngestService, StatsPageReportsGateAndServiceCounters) {

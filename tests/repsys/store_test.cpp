@@ -225,6 +225,35 @@ TEST(FeedbackStore, HistoryLengthAnswersWithoutCopying) {
     EXPECT_FALSE(store.history_length(10).has_value());
 }
 
+TEST(FeedbackStore, HistoryExtentCountsWhatEvictionTrimmed) {
+    FeedbackStore store = sample_store();
+    ASSERT_TRUE(store.history_extent(10).has_value());
+    EXPECT_EQ(store.history_extent(10)->length, 3u);
+    EXPECT_EQ(store.history_extent(10)->trimmed, 0u);
+    EXPECT_FALSE(store.history_extent(99).has_value());
+
+    // Server 10 loses its first two feedbacks, server 20 its first one.
+    EXPECT_EQ(store.evict_before(3), 3u);
+    EXPECT_EQ(store.history_extent(10)->length, 1u);
+    EXPECT_EQ(store.history_extent(10)->trimmed, 2u);
+    EXPECT_EQ(store.history_extent(20)->trimmed, 1u);
+
+    // New feedback restores the old length; the trimmed count still tells
+    // this log apart from the one that started at the first feedback.
+    store.ingest_batch({fb(6, 10, 100, true), fb(7, 10, 100, true)});
+    EXPECT_EQ(store.history_extent(10)->length, 3u);
+    EXPECT_EQ(store.history_extent(10)->trimmed, 2u);
+    store.evict_before(7);
+    EXPECT_EQ(store.history_extent(10)->trimmed, 4u);
+
+    // A forgotten server recorded again starts a fresh log.
+    store.evict_before(100);
+    EXPECT_FALSE(store.history_extent(10).has_value());
+    store.submit(fb(200, 10, 100, true));
+    EXPECT_EQ(store.history_extent(10)->length, 1u);
+    EXPECT_EQ(store.history_extent(10)->trimmed, 0u);
+}
+
 TEST(FeedbackStore, ShardOccupancySumsToTotals) {
     FeedbackStore store{8};
     for (EntityId server = 1; server <= 40; ++server) {

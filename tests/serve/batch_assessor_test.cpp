@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/two_phase.h"
@@ -363,6 +367,89 @@ TEST(BatchAssessorIncremental, HorizonBoundsStreamMemory) {
     feed(10000, 101);
     EXPECT_EQ(assessor.stream_memory_bytes(), bytes_young)
         << "a horizon-bounded stream must not grow with age";
+}
+
+// --- streamed phase-2 trust ------------------------------------------------
+
+/// Records `count` honest feedbacks of `server` from time `first` on:
+/// committed to the store, then observed by the bank when one is given.
+void record(repsys::FeedbackStore& store, BatchAssessor* bank,
+            repsys::EntityId server, repsys::Timestamp first, std::size_t count,
+            stats::Rng& rng) {
+    for (std::size_t i = 0; i < count; ++i) {
+        const repsys::Feedback feedback{
+            first + static_cast<repsys::Timestamp>(i), server,
+            static_cast<repsys::EntityId>(300 + i % 7),
+            rng.bernoulli(0.95) ? repsys::Rating::kPositive
+                                : repsys::Rating::kNegative};
+        store.submit(feedback);
+        if (bank != nullptr) bank->observe(feedback);
+    }
+}
+
+/// A clear stream's assess() trust, the oracle evaluate() over the
+/// store's snapshot and assess_batch()'s trust must be one double.
+void expect_streamed_trust_is_exact(const BatchAssessor& bank,
+                                    const repsys::FeedbackStore& store,
+                                    repsys::EntityId server) {
+    ASSERT_EQ(bank.stream_state(server), core::StreamState::kClear);
+    const auto streamed = bank.assess(store, {server});
+    const auto batch = bank.assess_batch(store, {server});
+    ASSERT_TRUE(streamed[0].assessment.trust.has_value());
+    ASSERT_TRUE(batch[0].assessment.trust.has_value());
+    const double oracle = bank.assessor().trust_function().evaluate(
+        store.history_snapshot(server).view());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*streamed[0].assessment.trust),
+              std::bit_cast<std::uint64_t>(oracle));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*batch[0].assessment.trust),
+              std::bit_cast<std::uint64_t>(oracle));
+}
+
+TEST(BatchAssessorIncremental, StreamedTrustIsExactForEveryTrustFunction) {
+    for (std::string spec : repsys::known_trust_functions()) {
+        // Parameterised specs ("decay:<gamma>") get a concrete value.
+        if (const auto open = spec.find('<'); open != std::string::npos) {
+            spec.replace(open, std::string::npos, "0.7");
+        }
+        SCOPED_TRACE(spec);
+        repsys::FeedbackStore store{4};
+        BatchAssessorConfig config;
+        config.assessment = assessment_config();
+        config.threads = 2;
+        BatchAssessor bank{config,
+                           std::shared_ptr<const repsys::TrustFunction>{
+                               repsys::make_trust_function(spec)},
+                           shared_cal()};
+        stats::Rng rng{0x7a57ULL};
+
+        // Steady state: the bank folded exactly the store's log.
+        record(store, &bank, 1, 1, 800, rng);
+        expect_streamed_trust_is_exact(bank, store, 1);
+
+        // The store held history before the stream existed.
+        record(store, nullptr, 2, 1, 200, rng);
+        record(store, &bank, 2, 201, 600, rng);
+        expect_streamed_trust_is_exact(bank, store, 2);
+
+        // A stream dropped and observed afresh over a longer log.
+        record(store, &bank, 3, 1, 800, rng);
+        const std::vector<repsys::EntityId> dropped{3};
+        ASSERT_EQ(bank.drop_streams(dropped), 1u);
+        record(store, &bank, 3, 801, 600, rng);
+        expect_streamed_trust_is_exact(bank, store, 3);
+
+        // Partial eviction trims every log's front, then new records
+        // bring server 1's log back to its old length.
+        std::vector<repsys::EntityId> forgotten;
+        ASSERT_GT(store.evict_before(301, &forgotten), 0u);
+        ASSERT_TRUE(forgotten.empty());
+        for (repsys::EntityId server = 1; server <= 3; ++server) {
+            expect_streamed_trust_is_exact(bank, store, server);
+        }
+        record(store, &bank, 1, 801, 300, rng);
+        ASSERT_EQ(store.history_length(1), std::optional<std::size_t>{800});
+        expect_streamed_trust_is_exact(bank, store, 1);
+    }
 }
 
 }  // namespace
