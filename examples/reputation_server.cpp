@@ -156,8 +156,8 @@ void handle_stop_signal(int) {
 /// Daemon mode: the introspection front-end serves the browsable tree
 /// while this thread keeps ingesting the population's stream and
 /// periodically re-assessing it — scrapes and load run concurrently
-/// against the same store/assessor/registry, exactly the deployment
-/// shape bench/introspection_daemon measures.
+/// against the same store/assessor/registry.  servebench/ measures the
+/// same wiring with its load generator in place of this feed loop.
 int run_daemon(repsys::FeedbackStore& store, serve::BatchAssessor& assessor,
                std::shared_ptr<stats::Calibrator> calibrator,
                const std::vector<Population>& servers, std::uint16_t port,

@@ -108,14 +108,6 @@ struct AdaptiveTestResult {
     bool sufficient = false;
     std::vector<Segment> segments;
     std::vector<BehaviorTestResult> per_segment;  ///< aligned with segments
-
-    /// Index of the first failing segment, or size() if none.
-    [[nodiscard]] std::size_t first_failed() const noexcept {
-        for (std::size_t i = 0; i < per_segment.size(); ++i) {
-            if (!per_segment[i].passed) return i;
-        }
-        return per_segment.size();
-    }
 };
 
 /// §3.2 behavior testing applied per detected regime.

@@ -131,7 +131,7 @@ public:
     /// Resident bytes of this screener (object + ring storage).  The ring
     /// is reserved at construction when a horizon is set, so this is
     /// constant for the screener's whole life — the per-stream memory
-    /// bound bench/streaming_steady_state asserts.
+    /// bound OnlineScreener.BoundedMemoryIsConstantForLife asserts.
     [[nodiscard]] std::size_t memory_bytes() const noexcept {
         return sizeof(*this) +
                window_good_counts_.capacity() * sizeof(std::uint32_t);

@@ -35,14 +35,12 @@ struct RunsTestResult {
 
     std::size_t runs = 0;         ///< observed maximal-run count R
     double expected_runs = 0.0;   ///< mu under exchangeability
-    double z = 0.0;               ///< standardized statistic
+    /// Standardized statistic: negative with fewer runs than expected
+    /// (clustered), positive with more (over-alternating).
+    double z = 0.0;
     double z_threshold = 0.0;     ///< two-sided acceptance bound
     std::size_t good = 0;
     std::size_t bad = 0;
-
-    /// Negative z: fewer runs than expected (clustered); positive:
-    /// more runs (over-alternating).
-    [[nodiscard]] bool clustered() const noexcept { return z < 0.0; }
 };
 
 /// Configuration of the runs test.

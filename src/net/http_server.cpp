@@ -522,7 +522,6 @@ void HttpServer::run_loop() {
                 const std::size_t declared = static_cast<std::size_t>(
                     std::strtoull(content_length->c_str(), nullptr, 10));
                 if (declared > config_.max_body_bytes) {
-                    oversized_.fetch_add(1, std::memory_order_relaxed);
                     metrics.oversized.increment();
                     reject_linger(conn, error_page(413, {}));
                     return;
@@ -532,7 +531,6 @@ void HttpServer::run_loop() {
                     const std::size_t estimate =
                         IngestGate::estimate_records(conn.body_length);
                     if (!config_.ingest_gate->try_admit(estimate)) {
-                        shed_.fetch_add(1, std::memory_order_relaxed);
                         metrics.shed.increment();
                         HttpResponse page =
                             error_page(429, "ingest budget exhausted");

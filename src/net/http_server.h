@@ -200,14 +200,6 @@ public:
     [[nodiscard]] std::uint64_t malformed_requests() const noexcept {
         return malformed_.load(std::memory_order_relaxed);
     }
-    /// 413 responses: POSTs declaring a body beyond max_body_bytes.
-    [[nodiscard]] std::uint64_t oversized_requests() const noexcept {
-        return oversized_.load(std::memory_order_relaxed);
-    }
-    /// 429 responses issued on behalf of the ingest gate.
-    [[nodiscard]] std::uint64_t shed_requests() const noexcept {
-        return shed_.load(std::memory_order_relaxed);
-    }
     [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
         return bytes_sent_.load(std::memory_order_relaxed);
     }
@@ -239,8 +231,6 @@ private:
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> timeouts_{0};
     std::atomic<std::uint64_t> malformed_{0};
-    std::atomic<std::uint64_t> oversized_{0};
-    std::atomic<std::uint64_t> shed_{0};
     std::atomic<std::uint64_t> bytes_sent_{0};
 };
 

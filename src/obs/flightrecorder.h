@@ -38,8 +38,8 @@
 ///
 /// Cost model: sampling is one `Registry::visit` every
 /// `interval_seconds` on a dedicated thread — the assessment hot path
-/// never runs recorder code.  bench/flight_recorder measures the
-/// steady-state interference and enforces a <2% budget on assess p99.
+/// never runs recorder code.  servebench reports the per-tick cost as
+/// `obs.recorder_sample_us`.
 
 #include <atomic>
 #include <condition_variable>

@@ -45,7 +45,7 @@
 /// hysteresis at the core::OnlineScreenerConfig defaults), so they are
 /// intentionally NOT bit-identical to batch screening; over the retained
 /// horizon they agree with batch multi-testing of the newest horizon*m
-/// transactions (bench/streaming_steady_state enforces zero divergence).
+/// transactions (OnlineHorizonProperty in the property suite pins it).
 ///
 /// **Oracle — parallel batch re-assessment.**  assess_batch() (and
 /// assess()/assess_all() for never-observed servers) fans a set of

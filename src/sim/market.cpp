@@ -77,11 +77,7 @@ bool WhitewashStrategy::serve_well(std::size_t tx_index,
 
 bool WhitewashStrategy::reset_identity(const repsys::TransactionHistory& own_history) {
     // The identity is spent once its attack budget has been cashed in.
-    if (own_history.size() >= prep_ + attacks_) {
-        ++resets_;
-        return true;
-    }
-    return false;
+    return own_history.size() >= prep_ + attacks_;
 }
 
 std::string WhitewashStrategy::name() const {
@@ -107,9 +103,7 @@ bool StrategicStrategy::serve_well(std::size_t, const repsys::TransactionHistory
     repsys::TransactionHistory hypothetical = own;
     hypothetical.append(own.empty() ? 1 : own[0].server, /*client=*/0,
                         repsys::Rating::kNegative);
-    if (!assessor_->screen(hypothetical.view()).passed) return true;
-    ++attacks_;
-    return false;
+    return !assessor_->screen(hypothetical.view()).passed;
 }
 
 std::string StrategicStrategy::name() const {
@@ -196,10 +190,7 @@ void Marketplace::run() {
             }
             acceptable.push_back(&server);
         }
-        if (acceptable.empty()) {
-            ++unserved_requests_;
-            continue;
-        }
+        if (acceptable.empty()) continue;
         Server& chosen = *acceptable[rng_.uniform_int(acceptable.size())];
         transact(chosen, client, /*count_metrics=*/true);
     }

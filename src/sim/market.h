@@ -103,14 +103,10 @@ public:
         const repsys::TransactionHistory& own_history) override;
     [[nodiscard]] std::string name() const override;
 
-    /// Identities consumed so far (resets performed).
-    [[nodiscard]] std::size_t identities_used() const noexcept { return resets_; }
-
 private:
     std::size_t prep_;
     std::size_t attacks_;
     double p_;
-    std::size_t resets_ = 0;
 };
 
 /// The strategic attacker of §5.1 as a marketplace participant: before
@@ -132,13 +128,9 @@ public:
                                   stats::Rng& rng) override;
     [[nodiscard]] std::string name() const override;
 
-    /// Bad transactions it has landed.
-    [[nodiscard]] std::size_t attacks_landed() const noexcept { return attacks_; }
-
 private:
     std::shared_ptr<const core::TwoPhaseAssessor> assessor_;
     double threshold_;
-    std::size_t attacks_ = 0;
 };
 
 /// Client policy toward servers whose histories are too short to screen
@@ -205,11 +197,6 @@ public:
         return total_bad_suffered_;
     }
 
-    /// Requests that found no acceptable server.
-    [[nodiscard]] std::size_t unserved_requests() const noexcept {
-        return unserved_requests_;
-    }
-
     [[nodiscard]] const repsys::TransactionHistory& history_of(repsys::EntityId id) const;
 
 private:
@@ -233,7 +220,6 @@ private:
     std::vector<Server> servers_;
     stats::Rng rng_;
     std::size_t total_bad_suffered_ = 0;
-    std::size_t unserved_requests_ = 0;
     repsys::EntityId next_client_ = 1000;
 };
 

@@ -62,18 +62,6 @@ Binomial::Binomial(std::uint32_t n, double p) : n_(n), p_(p) {
     sf_[0] = 1.0;
 }
 
-double Binomial::log_pmf(std::uint32_t k) const {
-    if (k > n_) return -std::numeric_limits<double>::infinity();
-    if (p_ == 0.0) {
-        return k == 0 ? 0.0 : -std::numeric_limits<double>::infinity();
-    }
-    if (p_ == 1.0) {
-        return k == n_ ? 0.0 : -std::numeric_limits<double>::infinity();
-    }
-    return log_choose(n_, k) + static_cast<double>(k) * std::log(p_) +
-           static_cast<double>(n_ - k) * std::log1p(-p_);
-}
-
 std::uint32_t Binomial::quantile(double q) const {
     if (!(q >= 0.0 && q <= 1.0)) {
         throw std::invalid_argument("Binomial::quantile: q must be in [0, 1]");
@@ -88,13 +76,6 @@ std::uint32_t Binomial::sample(Rng& rng) const {
     const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
     if (it == cdf_.end()) return n_;
     return static_cast<std::uint32_t>(it - cdf_.begin());
-}
-
-std::vector<std::uint32_t> Binomial::sample(Rng& rng, std::size_t count) const {
-    std::vector<std::uint32_t> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) out.push_back(sample(rng));
-    return out;
 }
 
 }  // namespace hpr::stats

@@ -44,9 +44,6 @@ public:
         return k <= n_ ? pmf_[k] : 0.0;
     }
 
-    /// log P(X = k); -inf for impossible outcomes.
-    [[nodiscard]] double log_pmf(std::uint32_t k) const;
-
     /// P(X <= k); 1 for k >= n.
     [[nodiscard]] double cdf(std::uint32_t k) const noexcept {
         return k < n_ ? cdf_[k] : 1.0;
@@ -81,9 +78,6 @@ public:
 
     /// Draw one variate (inversion from the precomputed cdf; O(log n)).
     [[nodiscard]] std::uint32_t sample(Rng& rng) const;
-
-    /// Draw `count` variates.
-    [[nodiscard]] std::vector<std::uint32_t> sample(Rng& rng, std::size_t count) const;
 
 private:
     std::uint32_t n_;

@@ -11,10 +11,6 @@ double RunningMoments::std_error() const noexcept {
     return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double RunningMoments::ci_half_width(double z) const noexcept {
-    return z * std_error();
-}
-
 void RunningMoments::merge(const RunningMoments& other) noexcept {
     if (other.count_ == 0) return;
     if (count_ == 0) {

@@ -44,10 +44,6 @@ public:
     [[nodiscard]] double min() const noexcept { return min_; }
     [[nodiscard]] double max() const noexcept { return max_; }
 
-    /// Half-width of the normal-approximation confidence interval around
-    /// the mean (z = 1.96 for 95%).
-    [[nodiscard]] double ci_half_width(double z = 1.96) const noexcept;
-
     void merge(const RunningMoments& other) noexcept;
 
 private:

@@ -11,11 +11,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
 #include "stats/calibrate.h"
+#include "temp_path.h"
 
 namespace hpr::stats {
 namespace {
@@ -23,39 +24,40 @@ namespace {
 TEST(CalibratorStress, LoadCacheRacingThresholdLookups) {
     constexpr std::size_t kReaders = 4;
     constexpr int kLoads = 50;
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_stress.cache").string();
+    const auto path = test::unique_temp_path("hpr_cal_stress.cache");
     Calibrator calibrator;
     const double expected = calibrator.threshold(40, 10, 0.9);
     const double expected_median = calibrator.threshold(40, 10, 0.9, 0.5);
     calibrator.save_cache(path);
 
-    std::atomic<bool> done{false};
     std::atomic<std::size_t> ready{0};
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::size_t> lookups{0};
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (std::size_t t = 0; t < kReaders; ++t) {
-        readers.emplace_back([&] {
-            ready.fetch_add(1, std::memory_order_acq_rel);
-            do {
-                if (calibrator.threshold(40, 10, 0.9) != expected ||
-                    calibrator.threshold(40, 10, 0.9, 0.5) != expected_median ||
-                    calibrator.null_distances(40, 10, 0.9)->size() !=
-                        calibrator.config().replications) {
-                    mismatches.fetch_add(1, std::memory_order_relaxed);
-                }
-                lookups.fetch_add(1, std::memory_order_relaxed);
-            } while (!done.load(std::memory_order_acquire));
-        });
+    {
+        // A jthread requests stop and joins when it leaves this scope, on
+        // every path: a load_cache that throws is reported as a test
+        // failure instead of std::terminate over joinable readers.
+        std::vector<std::jthread> readers;
+        readers.reserve(kReaders);
+        for (std::size_t t = 0; t < kReaders; ++t) {
+            readers.emplace_back([&](const std::stop_token& stop) {
+                ready.fetch_add(1, std::memory_order_acq_rel);
+                do {
+                    if (calibrator.threshold(40, 10, 0.9) != expected ||
+                        calibrator.threshold(40, 10, 0.9, 0.5) != expected_median ||
+                        calibrator.null_distances(40, 10, 0.9)->size() !=
+                            calibrator.config().replications) {
+                        mismatches.fetch_add(1, std::memory_order_relaxed);
+                    }
+                    lookups.fetch_add(1, std::memory_order_relaxed);
+                } while (!stop.stop_requested());
+            });
+        }
+        while (ready.load(std::memory_order_acquire) < kReaders) {
+            std::this_thread::yield();  // start loading once every reader runs
+        }
+        for (int i = 0; i < kLoads; ++i) calibrator.load_cache(path);
     }
-    while (ready.load(std::memory_order_acquire) < kReaders) {
-        std::this_thread::yield();  // start loading once every reader runs
-    }
-    for (int i = 0; i < kLoads; ++i) calibrator.load_cache(path);
-    done.store(true, std::memory_order_release);
-    for (auto& reader : readers) reader.join();
 
     EXPECT_EQ(mismatches.load(), 0u);
     EXPECT_GT(lookups.load(), 0u);

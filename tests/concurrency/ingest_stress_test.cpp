@@ -79,6 +79,7 @@ TEST(IngestStress, ConservationHoldsUnderConcurrentChurn) {
     std::atomic<std::uint64_t> writer_failures{0};
     std::atomic<std::uint64_t> evicted_records{0};
     std::atomic<std::uint64_t> scrape_answers{0};
+    std::atomic<std::uint64_t> scrape_failures{0};
     std::atomic<std::uint64_t> abandoned_connections{0};
     std::vector<std::thread> pool;
 
@@ -124,6 +125,8 @@ TEST(IngestStress, ConservationHoldsUnderConcurrentChurn) {
                 // 404 is legal: the server may be unborn or just evicted.
                 if (page && (page->status == 200 || page->status == 404)) {
                     scrape_answers.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    scrape_failures.fetch_add(1, std::memory_order_relaxed);
                 }
                 ++i;
             } while (!stop.load(std::memory_order_relaxed));
@@ -208,6 +211,7 @@ TEST(IngestStress, ConservationHoldsUnderConcurrentChurn) {
 
     // The battlefield was real: scrapes answered, connections died.
     EXPECT_GT(scrape_answers.load(), 0u);
+    EXPECT_EQ(scrape_failures.load(), 0u);
     EXPECT_GT(abandoned_connections.load(), 0u);
 
     // The vandal's phantom server never materialized.

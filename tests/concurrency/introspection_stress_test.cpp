@@ -163,7 +163,12 @@ TEST(IntrospectionStress, ScrapersStayConsistentDuringIngest) {
     pool[1].join();
     stop.store(true, std::memory_order_relaxed);
     for (std::size_t t = 2; t < pool.size(); ++t) pool[t].join();
+    // The scraped /metrics page carries the serving counters.
+    const auto metrics = http_get("127.0.0.1", port, "/metrics", 5.0);
     server.stop();
+    ASSERT_TRUE(metrics.has_value());
+    EXPECT_EQ(metrics->status, 200);
+    EXPECT_NE(metrics->body.find("hpr_serving_batches_total"), std::string::npos);
 
     EXPECT_EQ(store.server_count(), kServers);
     EXPECT_EQ(store.size(), kServers * (kSeed + kPerServer));

@@ -246,12 +246,20 @@ TEST(ScreenerBankStress, StreamedTrustIsAlwaysAPrefixOfTheTape) {
     // meets an unknown id.
     commit_chunk(servers, 0);
 
+    // Writers start only once both assessors run, and each assessor makes
+    // at least one pass, so assessments overlap the writes however the
+    // threads are scheduled and `served` cannot stay 0.
+    constexpr std::size_t kAssessors = 2;
+    std::atomic<std::size_t> assessors_running{0};
     std::atomic<bool> stop{false};
     std::atomic<std::size_t> served{0};
     std::atomic<std::size_t> off_tape{0};
     std::vector<std::thread> writers;
     for (std::size_t t = 0; t < kWriters; ++t) {
         writers.emplace_back([&, t] {
+            while (assessors_running.load(std::memory_order_acquire) < kAssessors) {
+                std::this_thread::yield();
+            }
             std::vector<repsys::EntityId> owned;
             for (const repsys::EntityId s : servers) {
                 if (s % kWriters == t) owned.push_back(s);
@@ -264,7 +272,8 @@ TEST(ScreenerBankStress, StreamedTrustIsAlwaysAPrefixOfTheTape) {
     }
     std::vector<std::thread> assessors;
     assessors.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
+        assessors_running.fetch_add(1, std::memory_order_acq_rel);
+        do {
             for (const auto& result : bank.assess(store, servers)) {
                 if (!result.assessment.trust) continue;
                 served.fetch_add(1, std::memory_order_relaxed);
@@ -275,10 +284,11 @@ TEST(ScreenerBankStress, StreamedTrustIsAlwaysAPrefixOfTheTape) {
                     off_tape.fetch_add(1, std::memory_order_relaxed);
                 }
             }
-        }
+        } while (!stop.load(std::memory_order_relaxed));
     });
     assessors.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
+        assessors_running.fetch_add(1, std::memory_order_acq_rel);
+        do {
             for (const repsys::EntityId s : servers) {
                 const auto result = bank.assess_served(store, s);
                 if (!result.assessment.trust) continue;
@@ -289,7 +299,7 @@ TEST(ScreenerBankStress, StreamedTrustIsAlwaysAPrefixOfTheTape) {
                     off_tape.fetch_add(1, std::memory_order_relaxed);
                 }
             }
-        }
+        } while (!stop.load(std::memory_order_relaxed));
     });
     for (auto& writer : writers) writer.join();
     stop.store(true, std::memory_order_relaxed);

@@ -93,11 +93,19 @@ TEST(StoreConcurrency, SnapshotsStayConsistentUnderConcurrentWrites) {
     constexpr std::size_t kReaders = 4;
     constexpr std::size_t kPerServer = 2000;
     FeedbackStore store{8};
-    // One server per writer; every reader polls all of them.
+    // One server per writer; every reader polls all of them.  Writers
+    // start only once every reader is running, and a reader stops only
+    // after the writers are done and it has checked a snapshot, so reads
+    // overlap the writes however the threads are scheduled and
+    // `snapshots_checked` cannot stay 0.
+    std::atomic<std::size_t> readers_running{0};
     std::atomic<bool> done{false};
     std::vector<std::thread> pool;
     for (std::size_t w = 0; w < kWriters; ++w) {
         pool.emplace_back([&, w] {
+            while (readers_running.load(std::memory_order_acquire) < kReaders) {
+                std::this_thread::yield();
+            }
             const auto server = static_cast<EntityId>(w + 1);
             stats::Rng rng{0xfaceULL + w};
             for (std::size_t i = 0; i < kPerServer; ++i) {
@@ -109,7 +117,9 @@ TEST(StoreConcurrency, SnapshotsStayConsistentUnderConcurrentWrites) {
     std::atomic<std::size_t> snapshots_checked{0};
     for (std::size_t r = 0; r < kReaders; ++r) {
         pool.emplace_back([&] {
-            while (!done.load(std::memory_order_acquire)) {
+            readers_running.fetch_add(1, std::memory_order_acq_rel);
+            std::size_t checked = 0;
+            do {
                 for (const auto server : store.servers()) {
                     const TransactionHistory snapshot =
                         store.history_snapshot(server);
@@ -122,10 +132,11 @@ TEST(StoreConcurrency, SnapshotsStayConsistentUnderConcurrentWrites) {
                         ASSERT_EQ(snapshot[i].time,
                                   static_cast<Timestamp>(i + 1));
                     }
-                    snapshots_checked.fetch_add(1, std::memory_order_relaxed);
+                    ++checked;
                 }
                 ASSERT_LE(store.size(), kWriters * kPerServer);
-            }
+            } while (!done.load(std::memory_order_acquire) || checked == 0);
+            snapshots_checked.fetch_add(checked, std::memory_order_relaxed);
         });
     }
     for (std::size_t w = 0; w < kWriters; ++w) pool[w].join();

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/multi_test.h"
+#include "obs/trace.h"
 #include "sim/generators.h"
+#include "tracer_guard.h"
 
 namespace hpr::core {
 namespace {
@@ -200,20 +204,57 @@ TEST(OnlineScreener, BoundedMatchesUnboundedWithinHorizon) {
     }
 }
 
+/// Feed `outcomes` Bernoulli(0.9) outcomes; returns the ladder stage
+/// count of every evaluation they trigger, read from the decision record
+/// each evaluation traces.
+std::vector<std::size_t> traced_stage_counts(OnlineScreener& screener,
+                                             stats::Rng& rng,
+                                             std::size_t outcomes) {
+    std::vector<std::size_t> stages;
+    for (std::size_t i = 0; i < outcomes; ++i) {
+        screener.observe(rng.bernoulli(0.9));
+        for (const obs::DecisionRecord& record :
+             obs::default_tracer().ring().drain()) {
+            stages.push_back(record.stages.size());
+        }
+    }
+    return stages;
+}
+
 TEST(OnlineScreener, BoundedMemoryIsConstantForLife) {
+    // Per-feedback work is flat in stream age because the ladder's depth
+    // is.  Counted, not timed: every evaluation up to 100x the horizon's
+    // stream age runs exactly the stages it ran when the ring first
+    // filled.  No stage stops the ladder early, so a count is its depth.
+    const test::TracerGuard tracing;
     OnlineScreenerConfig config;
     config.max_windows = 8;
+    config.test.stop_on_failure = false;
+    const std::size_t horizon_tx =
+        config.max_windows * config.test.base.window_size;
     OnlineScreener screener{config, shared_cal()};
     const std::size_t at_birth = screener.memory_bytes();
     stats::Rng rng{909};
-    for (int i = 0; i < 2000; ++i) screener.observe(rng.bernoulli(0.9));
+    const auto filling = traced_stage_counts(screener, rng, horizon_tx);
+    ASSERT_FALSE(filling.empty());
+    const std::size_t full_ring_stages = filling.back();
+    const auto aging = traced_stage_counts(screener, rng, 99 * horizon_tx);
+    ASSERT_EQ(aging.size(), 99 * config.max_windows);  // one per window
+    for (std::size_t i = 0; i < aging.size(); ++i) {
+        ASSERT_EQ(aging[i], full_ring_stages) << "evaluation " << i;
+    }
     EXPECT_EQ(screener.memory_bytes(), at_birth);
     EXPECT_EQ(screener.horizon(), 8u);
 
-    OnlineScreener unbounded{{}, shared_cal()};
+    // Without a horizon the ladder deepens with the stream.
+    OnlineScreenerConfig unbounded_config;
+    unbounded_config.test.stop_on_failure = false;
+    OnlineScreener unbounded{unbounded_config, shared_cal()};
     const std::size_t unbounded_birth = unbounded.memory_bytes();
     stats::Rng rng2{910};
-    for (int i = 0; i < 2000; ++i) unbounded.observe(rng2.bernoulli(0.9));
+    const auto deepening = traced_stage_counts(unbounded, rng2, 25 * horizon_tx);
+    ASSERT_FALSE(deepening.empty());
+    EXPECT_GT(deepening.back(), full_ring_stages);
     EXPECT_GT(unbounded.memory_bytes(), unbounded_birth);
 }
 

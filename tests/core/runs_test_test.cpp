@@ -68,7 +68,6 @@ TEST(RunsTest, StrictAlternationHasTooManyRuns) {
     ASSERT_TRUE(result.sufficient);
     EXPECT_FALSE(result.passed);
     EXPECT_GT(result.z, 0.0);          // over-alternating
-    EXPECT_FALSE(result.clustered());
     EXPECT_EQ(result.runs, 200u);
 }
 
@@ -82,7 +81,6 @@ TEST(RunsTest, BurstsHaveTooFewRuns) {
     ASSERT_TRUE(result.sufficient);
     EXPECT_FALSE(result.passed);
     EXPECT_LT(result.z, 0.0);
-    EXPECT_TRUE(result.clustered());
     EXPECT_EQ(result.runs, 3u);
     EXPECT_GT(result.expected_runs, 30.0);
 }

@@ -6,7 +6,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 
 #include "core/behavior_test.h"
 #include "core/config.h"
@@ -19,6 +18,7 @@
 #include "sim/generators.h"
 #include "stats/calibrate.h"
 #include "stats/rng.h"
+#include "temp_path.h"
 
 namespace hpr {
 namespace {
@@ -44,8 +44,7 @@ core::TwoPhaseAssessor default_assessor(core::ScreeningMode mode,
 TEST(EndToEnd, GenerateSaveLoadAssessRoundTrip) {
     stats::Rng rng{501};
     const auto history = sim::honest_history(500, 0.93, rng);
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_e2e.csv").string();
+    const auto path = test::unique_temp_path("hpr_e2e.csv");
     repsys::save_csv(path, history);
     const repsys::TransactionHistory loaded = repsys::load_csv(path);
     std::remove(path.c_str());
@@ -162,8 +161,7 @@ TEST(EndToEnd, CollusionPipelineWithCsv) {
                            repsys::Rating::kPositive);
         }
     }
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_e2e_collusion.csv").string();
+    const auto path = test::unique_temp_path("hpr_e2e_collusion.csv");
     repsys::save_csv(path, history);
     const auto loaded = repsys::load_csv(path);
     std::remove(path.c_str());

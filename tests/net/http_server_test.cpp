@@ -258,7 +258,6 @@ TEST(HttpServer, OversizedDeclaredBodyDraws413BeforeTheBodyArrives) {
     ASSERT_TRUE(raw.has_value());
     EXPECT_NE(raw->find("HTTP/1.1 413 Payload Too Large"), std::string::npos);
     server.stop();
-    EXPECT_EQ(server.oversized_requests(), 1u);
     EXPECT_EQ(server.requests_served(), 0u);  // never dispatched
 }
 

@@ -426,7 +426,6 @@ TEST(IngestHttp, BurstPastTheGateBudgetDraws429WithRetryAfter) {
     EXPECT_EQ(*shed->header("Retry-After"), "3");
     EXPECT_EQ(daemon.store.size(), 0u);
     EXPECT_EQ(daemon.service->gate().shed_total(), 1u);
-    EXPECT_EQ(daemon.server->shed_requests(), 1u);
 
     // The gate sheds, it does not wedge: a small batch still lands.
     const auto small =

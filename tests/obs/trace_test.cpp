@@ -29,27 +29,12 @@
 #include "stats/distance.h"
 #include "stats/empirical.h"
 #include "stats/rng.h"
+#include "tracer_guard.h"
 
 namespace hpr::obs {
 namespace {
 
-/// Tracing rides process-global state (the obs kill switch and the
-/// default tracer); every integration test scopes both: tracer on at
-/// sample rate 1, ring drained on entry and exit, everything restored to
-/// the quiet default afterwards.
-struct TracerGuard {
-    TracerGuard() {
-        set_enabled(true);
-        default_tracer().set_sample_rate(1.0);
-        default_tracer().set_enabled(true);
-        (void)default_tracer().ring().drain();
-    }
-    ~TracerGuard() {
-        (void)default_tracer().ring().drain();
-        default_tracer().set_enabled(false);
-        set_enabled(true);
-    }
-};
+using test::TracerGuard;
 
 DecisionRecord make_record(std::uint64_t id) {
     DecisionRecord record;

@@ -29,6 +29,7 @@
 #include "stats/reference_cache.h"
 #include "stats/rng.h"
 #include "../stats/incomplete_beta.h"
+#include "temp_path.h"
 
 namespace hpr {
 namespace {
@@ -404,9 +405,8 @@ TEST(StoreProperty, SaveLoadEvictFuzz) {
                 rng.bernoulli(0.85) ? repsys::Rating::kPositive
                                     : repsys::Rating::kNegative});
         }
-        const auto dir = (std::filesystem::temp_directory_path() /
-                          ("hpr_store_fuzz_" + std::to_string(trial)))
-                             .string();
+        const auto dir =
+            test::unique_temp_path("hpr_store_fuzz_" + std::to_string(trial));
         store.save(dir);
         const repsys::FeedbackStore loaded = repsys::FeedbackStore::load(dir);
         ASSERT_EQ(loaded.size(), store.size());

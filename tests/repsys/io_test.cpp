@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+
+#include "temp_path.h"
 
 namespace hpr::repsys {
 namespace {
@@ -118,8 +119,7 @@ TEST(Io, ErrorsMentionLineNumber) {
 }
 
 TEST(Io, FileRoundTrip) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_io_test.csv").string();
+    const auto path = test::unique_temp_path("hpr_io_test.csv");
     const TransactionHistory history{sample_feedbacks()};
     save_csv(path, history);
     const TransactionHistory loaded = load_csv(path);
@@ -137,8 +137,7 @@ TEST(Io, SaveToUnwritablePathThrows) {
 }
 
 TEST(Io, LoadRejectsUnorderedTimestamps) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_io_unordered.csv").string();
+    const auto path = test::unique_temp_path("hpr_io_unordered.csv");
     {
         std::ofstream out{path};
         out << "time,server,client,rating\n"

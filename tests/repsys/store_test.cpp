@@ -8,6 +8,8 @@
 #include <fstream>
 #include <type_traits>
 
+#include "temp_path.h"
+
 namespace hpr::repsys {
 namespace {
 
@@ -283,8 +285,7 @@ TEST(FeedbackStore, ShardOccupancySumsToTotals) {
 
 TEST(FeedbackStore, SaveLoadRoundTrip) {
     const FeedbackStore store = sample_store();
-    const auto dir =
-        (std::filesystem::temp_directory_path() / "hpr_store_test").string();
+    const auto dir = test::unique_temp_path("hpr_store_test");
     store.save(dir);
     const FeedbackStore loaded = FeedbackStore::load(dir);
     EXPECT_EQ(loaded.size(), store.size());
@@ -363,8 +364,7 @@ TEST(FeedbackStoreIngestBatch, EmptyBatchIsANoOp) {
 }
 
 TEST(FeedbackStore, LoadRejectsAFileMixingServers) {
-    const auto dir =
-        (std::filesystem::temp_directory_path() / "hpr_store_mixed_servers").string();
+    const auto dir = test::unique_temp_path("hpr_store_mixed_servers");
     std::filesystem::remove_all(dir);
     sample_store().save(dir);
     {
@@ -383,8 +383,7 @@ TEST(FeedbackStore, LoadRejectsAFileMixingServers) {
 }
 
 TEST(FeedbackStore, LoadRejectsAServerInTwoFiles) {
-    const auto dir =
-        (std::filesystem::temp_directory_path() / "hpr_store_repeated_server").string();
+    const auto dir = test::unique_temp_path("hpr_store_repeated_server");
     std::filesystem::remove_all(dir);
     sample_store().save(dir);
     const std::filesystem::path copy = std::filesystem::path{dir} / "10-copy.csv";
@@ -404,8 +403,7 @@ TEST(FeedbackStore, LoadRejectsAServerInTwoFiles) {
 }
 
 TEST(FeedbackStore, LoadIgnoresNonCsvFiles) {
-    const auto dir =
-        (std::filesystem::temp_directory_path() / "hpr_store_mixed").string();
+    const auto dir = test::unique_temp_path("hpr_store_mixed");
     sample_store().save(dir);
     {
         std::ofstream junk{std::filesystem::path{dir} / "notes.txt"};

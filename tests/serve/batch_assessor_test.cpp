@@ -353,20 +353,29 @@ TEST(BatchAssessorIncremental, HorizonBoundsStreamMemory) {
     config.screener_horizon = 8;
     BatchAssessor assessor{config, beta_trust(), shared_cal()};
     stats::Rng rng{78};
-    const auto feed = [&](std::size_t count, repsys::Timestamp start) {
+    const auto feed = [&](repsys::EntityId server, std::size_t count,
+                          repsys::Timestamp start) {
         for (std::size_t i = 0; i < count; ++i) {
             assessor.observe(repsys::Feedback{
-                start + static_cast<repsys::Timestamp>(i), 1, 2,
+                start + static_cast<repsys::Timestamp>(i), server, 2,
                 rng.bernoulli(0.9) ? repsys::Rating::kPositive
                                    : repsys::Rating::kNegative});
         }
     };
-    feed(100, 1);
+    // A bank of young streams; then a subset ages 100x past the first.
+    constexpr repsys::EntityId kStreams = 200;
+    for (repsys::EntityId server = 1; server <= kStreams; ++server) {
+        feed(server, 100, 1);
+    }
+    ASSERT_EQ(assessor.tracked_streams(), kStreams);
     const std::size_t bytes_young = assessor.stream_memory_bytes();
     ASSERT_GT(bytes_young, 0u);
-    feed(10000, 101);
+    for (repsys::EntityId server = 1; server <= 8; ++server) {
+        feed(server, 10000, 101);
+    }
+    EXPECT_EQ(assessor.tracked_streams(), kStreams);
     EXPECT_EQ(assessor.stream_memory_bytes(), bytes_young)
-        << "a horizon-bounded stream must not grow with age";
+        << "horizon-bounded streams must not grow with age";
 }
 
 // --- streamed phase-2 trust ------------------------------------------------

@@ -82,9 +82,8 @@ TEST(Marketplace, HonestOnlyMarketServesEveryone) {
         EXPECT_GT(report.final_trust, 0.85);
         total_tx += report.transactions;
     }
-    // Bootstrap (2 * 60) plus served steps.
-    EXPECT_EQ(total_tx, 2u * config.bootstrap_per_server + config.steps -
-                            market.unserved_requests());
+    // Bootstrap (2 * 60) plus every step: no request goes unserved.
+    EXPECT_EQ(total_tx, 2u * config.bootstrap_per_server + config.steps);
 }
 
 TEST(Marketplace, ScreeningCutsBadTransactions) {
@@ -184,7 +183,6 @@ TEST(Strategy, StrategicAttackerUsesTheDefense) {
     // the strategic attacker serves well instead.
     repsys::TransactionHistory history;
     EXPECT_TRUE(strategy.serve_well(0, history, rng));
-    EXPECT_EQ(strategy.attacks_landed(), 0u);
 
     // With a long honest record and headroom, it cheats.
     for (int i = 0; i < 400; ++i) {
@@ -205,7 +203,6 @@ TEST(Strategy, StrategicAttackerUsesTheDefense) {
         }
     }
     EXPECT_GT(cheats, 0);
-    EXPECT_EQ(strategy.attacks_landed(), static_cast<std::size_t>(cheats));
 }
 
 TEST(Marketplace, StrategicAttackerConvergesToThresholdRate) {
@@ -248,7 +245,6 @@ TEST(Strategy, WhitewashCyclesIdentities) {
     EXPECT_FALSE(strategy.reset_identity(h));  // budget not spent yet
     h.append(1, 2, repsys::Rating::kNegative);
     EXPECT_TRUE(strategy.reset_identity(h));   // 7 = prep + attacks
-    EXPECT_EQ(strategy.identities_used(), 1u);
     EXPECT_THROW(WhitewashStrategy(5, 0, 1.0), std::invalid_argument);
 }
 

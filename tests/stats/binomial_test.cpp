@@ -10,6 +10,13 @@
 namespace hpr::stats {
 namespace {
 
+/// log P(X = k) for 0 < p < 1, computed in log space so it stays accurate
+/// at any magnitude: the reference the deep-tail survival test sums.
+double log_pmf(const Binomial& b, std::uint32_t k) {
+    return log_choose(b.n(), k) + static_cast<double>(k) * std::log(b.p()) +
+           static_cast<double>(b.n() - k) * std::log1p(-b.p());
+}
+
 TEST(LogChoose, KnownValues) {
     EXPECT_NEAR(std::exp(log_choose(5, 2)), 10.0, 1e-9);
     EXPECT_NEAR(std::exp(log_choose(10, 0)), 1.0, 1e-9);
@@ -64,7 +71,7 @@ TEST(Binomial, DegenerateP1) {
 TEST(Binomial, LogPmfMatchesPmf) {
     const Binomial b{20, 0.37};
     for (std::uint32_t k = 0; k <= 20; ++k) {
-        EXPECT_NEAR(std::exp(b.log_pmf(k)), b.pmf(k), 1e-9) << "k=" << k;
+        EXPECT_NEAR(std::exp(log_pmf(b, k)), b.pmf(k), 1e-9) << "k=" << k;
     }
 }
 
@@ -110,7 +117,7 @@ TEST(Binomial, SurvivalDeepTailsMatchLogPmfSummation) {
         for (std::uint32_t k = 0; k <= 100; ++k) {
             double reference = 0.0;
             for (std::uint32_t j = 100; j + 1 > k; --j) {
-                reference += std::exp(b.log_pmf(j));  // smallest terms first
+                reference += std::exp(log_pmf(b, j));  // smallest terms first
             }
             ASSERT_NEAR(b.survival(k), reference, 1e-12 * reference)
                 << "n=100 p=" << p << " k=" << k;
@@ -194,13 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(10u, 0.95), std::make_tuple(20u, 0.1),
                       std::make_tuple(50u, 0.62), std::make_tuple(100u, 0.99),
                       std::make_tuple(10u, 0.0), std::make_tuple(10u, 1.0)));
-
-TEST(Binomial, BulkSamplingMatchesCount) {
-    const Binomial b{10, 0.7};
-    Rng rng{7};
-    const auto samples = b.sample(rng, 1234);
-    EXPECT_EQ(samples.size(), 1234u);
-}
 
 TEST(Binomial, SamplingChiSquareAgainstPmf) {
     // Goodness-of-fit of the sampler against the pmf for B(10, 0.9), the

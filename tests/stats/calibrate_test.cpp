@@ -8,12 +8,13 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include "temp_path.h"
 
 namespace hpr::stats {
 namespace {
@@ -272,8 +273,7 @@ TEST(Calibrator, NearDegeneratePNeverRoundsToZeroThreshold) {
 }
 
 TEST(Calibrator, SaveLoadRoundTrip) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_calibration.cache").string();
+    const auto path = test::unique_temp_path("hpr_calibration.cache");
     Calibrator source;
     const double eps_a = source.threshold(40, 10, 0.9);
     const double eps_b = source.threshold(100, 20, 0.95);
@@ -292,9 +292,8 @@ TEST(Calibrator, SaveLoadRoundTrip) {
 TEST(Calibrator, SaveIsIndependentOfFillOrder) {
     // The memo is hashed, so save_cache sorts its keys: the same cache
     // contents must persist to the same bytes whatever the fill order.
-    const auto dir = std::filesystem::temp_directory_path();
-    const auto forward_path = (dir / "hpr_cal_order_fwd.cache").string();
-    const auto backward_path = (dir / "hpr_cal_order_bwd.cache").string();
+    const auto forward_path = test::unique_temp_path("hpr_cal_order_fwd.cache");
+    const auto backward_path = test::unique_temp_path("hpr_cal_order_bwd.cache");
     CalibrationConfig config;
     config.replications = 64;
     const struct {
@@ -329,8 +328,7 @@ TEST(Calibrator, LoadKeepsResidentSamples) {
     // load_cache must not replace it, even with a valid sample that
     // differs.  Build such a file by doubling every distance of a real
     // sample (still sorted, finite and non-negative).
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_resident.cache").string();
+    const auto path = test::unique_temp_path("hpr_cal_resident.cache");
     Calibrator cal;
     const double eps = cal.threshold(40, 10, 0.9);
     cal.save_cache(path);
@@ -362,9 +360,7 @@ TEST(Calibrator, LoadKeepsResidentSamples) {
 }
 
 TEST(Calibrator, LoadRejectsMismatchedConfig) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_calibration_mismatch.cache")
-            .string();
+    const auto path = test::unique_temp_path("hpr_calibration_mismatch.cache");
     Calibrator source;
     (void)source.threshold(40, 10, 0.9);
     source.save_cache(path);
@@ -377,8 +373,7 @@ TEST(Calibrator, LoadRejectsMismatchedConfig) {
 }
 
 TEST(Calibrator, LoadRejectsCorruptFiles) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_calibration_bad.cache").string();
+    const auto path = test::unique_temp_path("hpr_calibration_bad.cache");
     {
         std::ofstream out{path};
         out << "not a calibration cache\n";
@@ -569,8 +564,7 @@ TEST(Calibrator, PrecalibrateValidatesArguments) {
 }
 
 TEST(Calibrator, PrecalibrateComposesWithSaveLoad) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_precalibrate.cache").string();
+    const auto path = test::unique_temp_path("hpr_precalibrate.cache");
     CalibrationConfig config;
     config.threads = 2;
     Calibrator warm{config};
@@ -590,10 +584,8 @@ namespace {
 /// Write a single-key cache file that matches `cal`'s header but carries a
 /// hand-edited key, returning the path.
 std::string write_cache_with_key(Calibrator& cal, const std::string& key_text) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_badkey.cache").string();
-    const auto donor =
-        (std::filesystem::temp_directory_path() / "hpr_cal_donor.cache").string();
+    const auto path = test::unique_temp_path("hpr_cal_badkey.cache");
+    const auto donor = test::unique_temp_path("hpr_cal_donor.cache");
     (void)cal.threshold(5, 10, 0.9);
     cal.save_cache(donor);
     std::ifstream in{donor};
@@ -641,8 +633,7 @@ TEST(Calibrator, LoadRejectsInvalidKeysWithLineNumbers) {
 }
 
 TEST(Calibrator, LoadRejectsDuplicateKeys) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_dup.cache").string();
+    const auto path = test::unique_temp_path("hpr_cal_dup.cache");
     Calibrator donor;
     (void)donor.threshold(5, 10, 0.9);
     donor.save_cache(path);
@@ -670,8 +661,7 @@ TEST(Calibrator, LoadRejectsDuplicateKeys) {
 
 TEST(Calibrator, LoadRejectsTruncatedSamples) {
     Calibrator donor;
-    const auto path =
-        (std::filesystem::temp_directory_path() / "hpr_cal_trunc.cache").string();
+    const auto path = test::unique_temp_path("hpr_cal_trunc.cache");
     (void)donor.threshold(5, 10, 0.9);
     donor.save_cache(path);
     {

@@ -55,13 +55,6 @@ TEST(RunningMoments, StdErrorShrinksWithSamples) {
     EXPECT_GT(few.std_error(), many.std_error());
 }
 
-TEST(RunningMoments, CiHalfWidthScalesWithZ) {
-    RunningMoments m;
-    for (int i = 0; i < 100; ++i) m.add(static_cast<double>(i));
-    EXPECT_NEAR(m.ci_half_width(1.96), 1.96 * m.std_error(), 1e-12);
-    EXPECT_NEAR(m.ci_half_width(2.58), 2.58 * m.std_error(), 1e-12);
-}
-
 TEST(RunningMoments, MergeEqualsSequential) {
     const std::vector<double> first{1.0, 2.0, 3.0};
     const std::vector<double> second{10.0, 20.0, 30.0, 40.0};
